@@ -2,47 +2,63 @@
 //! STTree conflict machinery, the Analyzer pipeline) — the paper's concern
 //! that profiling must not disrupt the application, measured in host time.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 
-use polm2_core::{Analyzer, AnalyzerConfig, Recorder, SttTree};
+use polm2_core::{AllocationRecords, Analyzer, AnalyzerConfig, Recorder, SttTree};
 use polm2_heap::{GenId, Heap, HeapConfig, IdentityHash, ObjectId};
 use polm2_metrics::{SimDuration, SimTime};
-use polm2_runtime::{ClassDef, CodeLoc, Instr, Loader, MethodDef, Program, SizeSpec, TraceFrame};
+use polm2_runtime::{
+    AllocEventBuffer, ClassDef, CodeLoc, Instr, Loader, MethodDef, Program, SizeSpec, TraceFrame,
+    TraceNodeId, TraceTrie,
+};
 use polm2_snapshot::{Snapshot, SnapshotSeries};
 
 fn recorder_ingest(c: &mut Criterion) {
+    // Seven two-frame paths (A.m<k>@1 -> B.make@5), as a profiling JVM's
+    // trie would hold them; the batch cycles through them.
+    let mut program = Program::new();
+    let mut a = ClassDef::new("A");
+    for k in 0..7 {
+        a = a.with_method(MethodDef::new(format!("m{k}")).push(Instr::call("B", "make", 1)));
+    }
+    program.add_class(a);
+    program.add_class(
+        ClassDef::new("B").with_method(MethodDef::new("make").push(Instr::alloc(
+            "X",
+            SizeSpec::Fixed(8),
+            5,
+        ))),
+    );
+    let mut heap = Heap::new(HeapConfig::small());
+    let loaded = Loader::load(program, &mut [], &mut heap).expect("load");
+    let mut trie = TraceTrie::new();
+    let leaves: Vec<TraceNodeId> = (0..7u16)
+        .map(|k| {
+            let caller = TraceFrame {
+                class_idx: 0,
+                method_idx: k,
+                line: 1,
+            };
+            let site = TraceFrame {
+                class_idx: 1,
+                method_idx: 0,
+                line: 5,
+            };
+            let mid = trie.child(TraceNodeId::ROOT, caller);
+            trie.child(mid, site)
+        })
+        .collect();
+    let mut batch = AllocEventBuffer::with_capacity(10_000);
+    for i in 0..10_000u64 {
+        batch.push(leaves[(i % 7) as usize], IdentityHash::of(ObjectId::new(i)));
+    }
     c.bench_function("recorder_ingest_10k_events", |b| {
-        b.iter_batched(
-            || {
-                (0..10_000u64)
-                    .map(|i| polm2_runtime::AllocEvent {
-                        trace: vec![
-                            TraceFrame {
-                                class_idx: 0,
-                                method_idx: (i % 7) as u16,
-                                line: 1,
-                            },
-                            TraceFrame {
-                                class_idx: 1,
-                                method_idx: 0,
-                                line: 5,
-                            },
-                        ],
-                        object: ObjectId::new(i),
-                        hash: IdentityHash::of(ObjectId::new(i)),
-                        site: polm2_heap::SiteId::new(0),
-                        at: SimTime::ZERO,
-                    })
-                    .collect::<Vec<_>>()
-            },
-            |events| {
-                let mut recorder = Recorder::new();
-                recorder.ingest(events);
-                let total = recorder.records().total_records();
-                total
-            },
-            BatchSize::SmallInput,
-        )
+        b.iter(|| {
+            let mut recorder = Recorder::new();
+            recorder.ingest_nodes_checked(&trie, &loaded, &batch);
+            let total = recorder.records().total_records();
+            total
+        })
     });
 }
 
@@ -77,32 +93,22 @@ fn analyzer_pipeline(c: &mut Criterion) {
     let mut heap = Heap::new(HeapConfig::small());
     let loaded = Loader::load(program, &mut [], &mut heap).expect("load");
 
-    let mut recorder = Recorder::new();
-    recorder.ingest(
-        (0..50_000u64)
-            .map(|i| polm2_runtime::AllocEvent {
-                trace: vec![
-                    TraceFrame {
-                        class_idx: 0,
-                        method_idx: 1,
-                        line: 2,
-                    },
-                    TraceFrame {
-                        class_idx: 0,
-                        method_idx: 0,
-                        line: 1,
-                    },
-                ],
-                object: ObjectId::new(i),
-                hash: IdentityHash::of(ObjectId::new(i)),
-                site: polm2_heap::SiteId::new(0),
-                at: SimTime::ZERO,
-            })
-            .collect(),
-    );
-    let records = recorder
-        .into_records()
-        .expect("no live agent holds the recorder");
+    let trace = [
+        TraceFrame {
+            class_idx: 0,
+            method_idx: 1,
+            line: 2,
+        },
+        TraceFrame {
+            class_idx: 0,
+            method_idx: 0,
+            line: 1,
+        },
+    ];
+    let mut records = AllocationRecords::default();
+    for i in 0..50_000u64 {
+        records.record(&trace, IdentityHash::of(ObjectId::new(i)));
+    }
 
     let mut series = SnapshotSeries::new();
     for s in 0..30u32 {

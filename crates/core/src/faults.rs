@@ -16,8 +16,8 @@
 //! * **Snapshot truncation** — the dump succeeds but loses a fraction of its
 //!   live-object hashes (a partial image). Objects merely look shorter-lived.
 //! * **Record drop / duplication / corruption** — the Recorder's event
-//!   stream loses events, repeats them, or delivers structurally invalid
-//!   frames (caught at ingest and dropped with a counter).
+//!   stream loses events, repeats them, or delivers trace nodes that stand
+//!   for no allocation path (caught at ingest and dropped with a counter).
 //! * **Profile-text corruption** — bytes of a serialized profile are
 //!   clobbered before parsing (surfaces as a typed parse error downstream).
 //! * **Disk faults** — the session journal's I/O surface misbehaves
@@ -37,7 +37,7 @@ use std::rc::Rc;
 
 use polm2_heap::{CorruptionKind, Heap, IdHashSet, IdentityHash, PlantedCorruption};
 use polm2_metrics::SimTime;
-use polm2_runtime::{AllocEvent, TraceFrame};
+use polm2_runtime::{AllocEventBuffer, TraceNodeId};
 use polm2_snapshot::{HeapDumper, JournalMedia, Snapshot, SnapshotError};
 
 /// Which faults to inject, and how often. All rates are probabilities in
@@ -57,7 +57,8 @@ pub struct FaultConfig {
     /// Per-event probability that an allocation record is duplicated.
     pub record_duplicate_rate: f64,
     /// Per-event probability that an allocation record is structurally
-    /// corrupted (invalid trace frames; dropped at ingest).
+    /// corrupted (its trace node names no allocation path; dropped at
+    /// ingest).
     pub record_corrupt_rate: f64,
     /// Per-character probability that profile text is clobbered by
     /// [`FaultInjector::corrupt_profile_text`].
@@ -269,61 +270,43 @@ impl FaultInjector {
         rate > 0.0 && self.next_f64() < rate
     }
 
-    /// Applies record-stream faults to a drained event batch in place.
-    pub fn mutate_events(&mut self, events: &mut Vec<AllocEvent>) {
-        if self.config.record_drop_rate == 0.0
-            && self.config.record_duplicate_rate == 0.0
-            && self.config.record_corrupt_rate == 0.0
-        {
-            return;
-        }
-        let mut out = Vec::with_capacity(events.len());
-        for mut event in events.drain(..) {
+    /// Applies record-stream faults to a drained `(trace node, hash)` batch,
+    /// writing the surviving events to `out` (cleared first) in order.
+    ///
+    /// Per event the PRNG is drawn in a fixed order — drop roll, corrupt
+    /// roll, then either the corruption kind or the duplicate roll — so a
+    /// seed yields the same fault sequence however the stream is batched. A
+    /// zero rate never draws, so with every record-fault rate at zero `out`
+    /// is a plain copy and the PRNG stream is untouched.
+    pub fn mutate_batch(&mut self, batch: &AllocEventBuffer, out: &mut AllocEventBuffer) {
+        out.clear();
+        for (&node, &hash) in batch.nodes().iter().zip(batch.hashes()) {
             if self.roll(self.config.record_drop_rate) {
                 self.injected.records_dropped += 1;
                 continue;
             }
             if self.roll(self.config.record_corrupt_rate) {
-                self.corrupt_event(&mut event);
+                let corrupt = self.corrupt_node();
                 self.injected.records_corrupted += 1;
-            } else if self.roll(self.config.record_duplicate_rate) {
-                self.injected.records_duplicated += 1;
-                out.push(event.clone());
+                out.push(corrupt, hash);
+                continue;
             }
-            out.push(event);
+            if self.roll(self.config.record_duplicate_rate) {
+                self.injected.records_duplicated += 1;
+                out.push(node, hash);
+            }
+            out.push(node, hash);
         }
-        *events = out;
     }
 
-    /// Structurally corrupts one event's trace. The corruption is always
-    /// *detectable* (an empty trace or frame indices no program resolves):
-    /// corrupt records must be caught at ingest and dropped, never silently
-    /// misattributed to a real allocation path.
-    fn corrupt_event(&mut self, event: &mut AllocEvent) {
+    /// A trace node no ingest can attribute to an allocation path: the root
+    /// (the empty path) or an id outside any trie. Corrupt records must be
+    /// caught at ingest and dropped, never silently misattributed to a real
+    /// allocation path.
+    fn corrupt_node(&mut self) -> TraceNodeId {
         match self.next_u64() % 3 {
-            0 => event.trace.clear(),
-            1 => {
-                if let Some(frame) = event.trace.first_mut() {
-                    frame.class_idx = u16::MAX;
-                } else {
-                    event.trace.push(TraceFrame {
-                        class_idx: u16::MAX,
-                        method_idx: 0,
-                        line: 0,
-                    });
-                }
-            }
-            _ => {
-                if let Some(frame) = event.trace.last_mut() {
-                    frame.method_idx = u16::MAX;
-                } else {
-                    event.trace.push(TraceFrame {
-                        class_idx: 0,
-                        method_idx: u16::MAX,
-                        line: 0,
-                    });
-                }
-            }
+            0 => TraceNodeId::ROOT,
+            _ => TraceNodeId::from_raw(u32::MAX),
         }
     }
 
@@ -580,29 +563,40 @@ impl JournalMedia for FaultyMedia {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polm2_heap::{ObjectId, SiteId};
+    use polm2_heap::ObjectId;
 
-    fn event(line: u32) -> AllocEvent {
-        AllocEvent {
-            trace: vec![TraceFrame {
-                class_idx: 0,
-                method_idx: 0,
-                line,
-            }],
-            object: ObjectId::new(u64::from(line)),
-            hash: IdentityHash::of(ObjectId::new(u64::from(line))),
-            site: SiteId::new(0),
-            at: SimTime::ZERO,
+    /// A batch of `n` events on distinct (valid-looking) trie nodes.
+    fn batch(n: u32) -> AllocEventBuffer {
+        let mut buf = AllocEventBuffer::new();
+        for i in 1..=n {
+            buf.push(
+                TraceNodeId::from_raw(i),
+                IdentityHash::of(ObjectId::new(u64::from(i))),
+            );
         }
+        buf
+    }
+
+    fn pairs(buf: &AllocEventBuffer) -> Vec<(TraceNodeId, IdentityHash)> {
+        buf.nodes()
+            .iter()
+            .copied()
+            .zip(buf.hashes().iter().copied())
+            .collect()
+    }
+
+    fn mutated(config: FaultConfig, n: u32) -> (Vec<(TraceNodeId, IdentityHash)>, InjectedFaults) {
+        let mut inj = FaultInjector::new(config);
+        let mut out = AllocEventBuffer::new();
+        inj.mutate_batch(&batch(n), &mut out);
+        (pairs(&out), inj.injected())
     }
 
     #[test]
     fn inert_config_never_mutates() {
+        let (events, _) = mutated(FaultConfig::default(), 100);
+        assert_eq!(events, pairs(&batch(100)));
         let mut inj = FaultInjector::new(FaultConfig::default());
-        let mut events: Vec<_> = (0..100).map(event).collect();
-        let before = events.clone();
-        inj.mutate_events(&mut events);
-        assert_eq!(events, before);
         let mut text = "polm2-profile v1\n".to_string();
         inj.corrupt_profile_text(&mut text);
         assert_eq!(text, "polm2-profile v1\n");
@@ -614,18 +608,32 @@ mod tests {
     #[test]
     fn same_seed_same_faults() {
         let config = FaultConfig::all_at(0.3, 42);
-        let run = |config| {
-            let mut inj = FaultInjector::new(config);
-            let mut events: Vec<_> = (0..200).map(event).collect();
-            inj.mutate_events(&mut events);
-            (events, inj.injected())
-        };
-        let (a, ia) = run(config);
-        let (b, ib) = run(config);
+        let (a, ia) = mutated(config, 200);
+        let (b, ib) = mutated(config, 200);
         assert_eq!(a, b);
         assert_eq!(ia, ib);
-        let (c, _) = run(FaultConfig { seed: 43, ..config });
+        let (c, _) = mutated(FaultConfig { seed: 43, ..config }, 200);
         assert_ne!(a, c, "a different seed must produce a different stream");
+    }
+
+    #[test]
+    fn batching_does_not_change_the_fault_sequence() {
+        let config = FaultConfig::all_at(0.3, 9);
+        let (whole, injected) = mutated(config, 300);
+        let mut inj = FaultInjector::new(config);
+        let mut split = Vec::new();
+        let mut out = AllocEventBuffer::new();
+        let events = pairs(&batch(300));
+        for chunk in events.chunks(37) {
+            let mut part = AllocEventBuffer::new();
+            for &(node, hash) in chunk {
+                part.push(node, hash);
+            }
+            inj.mutate_batch(&part, &mut out);
+            split.extend(pairs(&out));
+        }
+        assert_eq!(split, whole);
+        assert_eq!(inj.injected(), injected);
     }
 
     #[test]
@@ -636,10 +644,7 @@ mod tests {
             record_duplicate_rate: 0.25,
             ..FaultConfig::default()
         };
-        let mut inj = FaultInjector::new(config);
-        let mut events: Vec<_> = (0..400).map(event).collect();
-        inj.mutate_events(&mut events);
-        let injected = inj.injected();
+        let (events, injected) = mutated(config, 400);
         assert!(injected.records_dropped > 0);
         assert!(injected.records_duplicated > 0);
         assert_eq!(
@@ -649,25 +654,21 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_events_never_resolve_in_any_program() {
+    fn corrupted_events_never_name_a_recordable_node() {
         let config = FaultConfig {
             seed: 5,
             record_corrupt_rate: 1.0,
             ..FaultConfig::default()
         };
-        let mut inj = FaultInjector::new(config);
-        let mut events: Vec<_> = (0..50).map(event).collect();
-        inj.mutate_events(&mut events);
-        assert_eq!(inj.injected().records_corrupted, 50);
-        for e in &events {
-            let detectable = e.trace.is_empty()
-                || e.trace
-                    .iter()
-                    .any(|f| f.class_idx == u16::MAX || f.method_idx == u16::MAX);
+        let (events, injected) = mutated(config, 50);
+        assert_eq!(injected.records_corrupted, 50);
+        assert_eq!(events.len(), 50, "corruption keeps the event, not its node");
+        assert!(events.iter().any(|&(node, _)| node.is_root()));
+        assert!(events.iter().any(|&(node, _)| node.raw() == u32::MAX));
+        for &(node, _) in &events {
             assert!(
-                detectable,
-                "corruption must be structurally detectable: {:?}",
-                e.trace
+                node.is_root() || node.raw() == u32::MAX,
+                "corruption must be structurally detectable: {node:?}"
             );
         }
     }

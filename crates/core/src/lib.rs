@@ -72,9 +72,7 @@ mod recorder;
 mod sttree;
 mod symbols;
 
-pub use analyzer::{
-    AnalysisOutcome, Analyzer, AnalyzerConfig, ReplayStrategy, SiteLifetimes, TraceLifetime,
-};
+pub use analyzer::{AnalysisOutcome, Analyzer, AnalyzerConfig, SiteLifetimes, TraceLifetime};
 pub use error::PipelineError;
 pub use faults::{FaultConfig, FaultInjector, FaultyDumper, FaultyMedia, InjectedFaults};
 pub use instrumenter::{InstrumentationStats, Instrumenter};

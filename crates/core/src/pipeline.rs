@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use polm2_metrics::{FaultCounters, SimDuration};
-use polm2_runtime::{ClassTransformer, Jvm, Program, RuntimeError};
+use polm2_runtime::{AllocEventBuffer, ClassTransformer, Jvm, Program, RuntimeError};
 use polm2_snapshot::{CriuDumper, HeapDumper, SnapshotSeries};
 
 use crate::analyzer::{AnalysisOutcome, Analyzer, AnalyzerConfig};
@@ -88,6 +88,8 @@ pub struct ProfilingSession {
     recovery: RecoveryPolicy,
     counters: FaultCounters,
     injector: Option<Rc<RefCell<FaultInjector>>>,
+    /// Reused output buffer for the injector's record-stream faults.
+    faulted_batch: AllocEventBuffer,
     journal: Option<SessionJournal>,
     cycles_at_last_snapshot: usize,
 }
@@ -119,6 +121,7 @@ impl ProfilingSession {
             recovery: RecoveryPolicy::default(),
             counters: FaultCounters::new(),
             injector: None,
+            faulted_batch: AllocEventBuffer::default(),
             journal: None,
             cycles_at_last_snapshot: 0,
         }
@@ -230,36 +233,26 @@ impl ProfilingSession {
         }
     }
 
-    /// Drains the runtime's buffered allocation events into the Recorder.
-    ///
-    /// Without a fault injector, trie-form events take the columnar fast
-    /// path ([`Recorder::ingest_nodes_checked`]) — no trace materialization,
-    /// no per-event allocation. Chaos sessions (and the stack-walk recorder
-    /// path) materialize [`AllocEvent`](polm2_runtime::AllocEvent)s so the
-    /// injector can mutate them in flight; both routes feed the Recorder the
-    /// same events in the same order.
+    /// Drains the runtime's buffered allocation events into the Recorder,
+    /// one columnar per-thread batch at a time, through
+    /// [`Recorder::ingest_nodes_checked`]. Chaos sessions pass each batch
+    /// through the fault injector on the way, so faulted and clean runs
+    /// share the one ingest.
     fn drain_events(&mut self, jvm: &mut Jvm) {
-        if self.injector.is_none() {
-            let recorder = &mut self.recorder;
-            let counters = &mut self.counters;
-            jvm.drain_alloc_batches(|trie, program, batch| {
-                counters.records_dropped_corrupt +=
-                    recorder.ingest_nodes_checked(trie, program, batch);
-            });
-            // Stack-walk events (if that path is configured) still arrive
-            // materialized.
-            if jvm.has_pending_alloc_events() {
-                let events = jvm.drain_alloc_events();
-                counters.records_dropped_corrupt += recorder.ingest_checked(events, jvm.program());
-            }
-            return;
-        }
-        let mut events = jvm.drain_alloc_events();
-        if let Some(injector) = &self.injector {
-            injector.borrow_mut().mutate_events(&mut events);
-        }
-        self.counters.records_dropped_corrupt +=
-            self.recorder.ingest_checked(events, jvm.program());
+        let recorder = &mut self.recorder;
+        let counters = &mut self.counters;
+        let injector = self.injector.as_deref();
+        let faulted = &mut self.faulted_batch;
+        jvm.drain_alloc_batches(|trie, program, batch| {
+            let batch = match injector {
+                Some(injector) => {
+                    injector.borrow_mut().mutate_batch(batch, faulted);
+                    &*faulted
+                }
+                None => batch,
+            };
+            counters.records_dropped_corrupt += recorder.ingest_nodes_checked(trie, program, batch);
+        });
     }
 
     /// Takes a snapshot unconditionally (the end-of-run snapshot, or tests),

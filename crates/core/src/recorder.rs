@@ -66,8 +66,9 @@ impl AllocationRecords {
 
     /// Interns `trace` (outermost first), assigning the next dense
     /// [`TraceId`] on first sight. Symbol and trace ids depend only on
-    /// first-seen order, so any path that feeds traces in event order — a
-    /// per-event stack walk or a trie-node memo — produces identical ids.
+    /// first-seen order, so anything that feeds traces in event order — the
+    /// Recorder's trie-node memo or a journal replay — produces identical
+    /// ids.
     pub fn trace_id_for(&mut self, trace: &[TraceFrame]) -> TraceId {
         self.scratch.clear();
         for &frame in trace {
@@ -86,7 +87,7 @@ impl AllocationRecords {
     }
 
     /// Records one allocation against an already-interned trace: one stream
-    /// push — the steady state of the trie recorder path.
+    /// push — the steady state of [`Recorder::ingest_nodes_checked`].
     #[inline]
     pub fn record_traced(&mut self, id: TraceId, hash: IdentityHash) {
         self.streams[id.0 as usize].push(hash);
@@ -181,51 +182,17 @@ impl Recorder {
         })
     }
 
-    /// Ingests allocation events drained from the runtime.
-    ///
-    /// Trusts the events structurally — use
-    /// [`ingest_checked`](Recorder::ingest_checked) for events that may have
-    /// crossed a lossy boundary.
-    pub fn ingest(&mut self, events: Vec<polm2_runtime::AllocEvent>) {
-        let mut records = self.records.borrow_mut();
-        for event in events {
-            records.record(&event.trace, event.hash);
-        }
-    }
-
-    /// Ingests events, dropping structurally corrupt ones: an event with an
-    /// empty trace or a frame that does not resolve in `program` cannot be
-    /// attributed to any allocation path, so recording it would poison the
-    /// trace table. Returns the number of events dropped.
-    pub fn ingest_checked(
-        &mut self,
-        events: Vec<polm2_runtime::AllocEvent>,
-        program: &LoadedProgram,
-    ) -> u64 {
-        let mut records = self.records.borrow_mut();
-        let mut dropped = 0;
-        for event in events {
-            let corrupt =
-                event.trace.is_empty() || event.trace.iter().any(|&f| !program.frame_is_valid(f));
-            if corrupt {
-                dropped += 1;
-                continue;
-            }
-            records.record(&event.trace, event.hash);
-        }
-        dropped
-    }
-
     /// Ingests a columnar batch of `(trace node, identity hash)` pairs
-    /// straight from the runtime's per-thread buffers — the trie recorder
-    /// fast path, skipping trace materialization entirely.
+    /// straight from the runtime's per-thread buffers — the Recorder's only
+    /// ingest, used by clean and fault-injected sessions alike.
     ///
-    /// The first event through a node materializes its path from `trie`,
-    /// validates every frame against `program` (corrupt nodes are dropped
-    /// and counted, like [`ingest_checked`](Recorder::ingest_checked)), and
-    /// memoizes the resulting [`TraceId`]; every later event through that
-    /// node is a memo read plus a stream push. Returns the number of events
-    /// dropped.
+    /// Events that cannot be attributed to an allocation path are dropped
+    /// and counted, never recorded: a node id outside `trie`, and a node
+    /// whose path is empty (the root) or holds a frame that does not
+    /// resolve in `program`. The first event through a valid node
+    /// materializes its path and memoizes the resulting [`TraceId`]; every
+    /// later event through that node is a memo read plus a stream push.
+    /// Returns the number of events dropped.
     ///
     /// The memo is keyed by node id, so a `Recorder` must only ever see
     /// batches from one runtime's trie (the pipeline pairs them 1:1).
@@ -241,7 +208,10 @@ impl Recorder {
         let mut records = self.records.borrow_mut();
         let mut dropped = 0;
         for (&node, &hash) in batch.nodes().iter().zip(batch.hashes()) {
-            let memo = self.node_trace[node.index()];
+            let Some(&memo) = self.node_trace.get(node.index()) else {
+                dropped += 1;
+                continue;
+            };
             let id = match memo {
                 NODE_CORRUPT => {
                     dropped += 1;
@@ -346,7 +316,7 @@ fn instrument_block(block: &mut Vec<Instr>, count: &mut u64) {
 mod tests {
     use super::*;
     use polm2_heap::ObjectId;
-    use polm2_runtime::{MethodDef, Program, SizeSpec};
+    use polm2_runtime::{MethodDef, Program, SizeSpec, TraceNodeId};
 
     fn frame(line: u32) -> TraceFrame {
         TraceFrame {
@@ -412,21 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn into_records_round_trips() {
-        let mut recorder = Recorder::new();
-        recorder.ingest(vec![polm2_runtime::AllocEvent {
-            trace: vec![frame(4)],
-            object: ObjectId::new(7),
-            hash: IdentityHash::of(ObjectId::new(7)),
-            site: polm2_heap::SiteId::new(0),
-            at: polm2_metrics::SimTime::ZERO,
-        }]);
-        let records = recorder.into_records().unwrap();
-        assert_eq!(records.total_records(), 1);
-        assert_eq!(records.trace_count(), 1);
-    }
-
-    #[test]
     fn into_records_reports_busy_instead_of_panicking() {
         let recorder = Recorder::new();
         let second_ref = Rc::clone(&recorder.records);
@@ -437,8 +392,7 @@ mod tests {
         drop(second_ref);
     }
 
-    #[test]
-    fn ingest_checked_drops_corrupt_events_and_counts_them() {
+    fn one_method_program() -> LoadedProgram {
         use polm2_heap::{Heap, HeapConfig};
         use polm2_runtime::Loader;
         let mut program = Program::new();
@@ -450,47 +404,102 @@ mod tests {
             ))),
         );
         let mut heap = Heap::new(HeapConfig::small());
-        let loaded = Loader::load(program, &mut [], &mut heap).unwrap();
+        Loader::load(program, &mut [], &mut heap).unwrap()
+    }
 
-        let ev = |trace: Vec<TraceFrame>, i: u64| polm2_runtime::AllocEvent {
-            trace,
-            object: ObjectId::new(i),
-            hash: IdentityHash::of(ObjectId::new(i)),
-            site: polm2_heap::SiteId::new(0),
-            at: polm2_metrics::SimTime::ZERO,
-        };
+    fn batch(events: &[(TraceNodeId, u64)]) -> AllocEventBuffer {
+        let mut buf = AllocEventBuffer::new();
+        for &(node, i) in events {
+            buf.push(node, IdentityHash::of(ObjectId::new(i)));
+        }
+        buf
+    }
+
+    #[test]
+    fn into_records_round_trips() {
+        let program = one_method_program();
+        let mut trie = TraceTrie::new();
+        let node = trie.child(TraceNodeId::ROOT, frame(1));
         let mut recorder = Recorder::new();
-        let dropped = recorder.ingest_checked(
-            vec![
-                ev(
-                    vec![TraceFrame {
-                        class_idx: 0,
-                        method_idx: 0,
-                        line: 1,
-                    }],
-                    1,
-                ),
-                ev(vec![], 2),
-                ev(
-                    vec![TraceFrame {
-                        class_idx: u16::MAX,
-                        method_idx: 0,
-                        line: 1,
-                    }],
-                    3,
-                ),
-                ev(
-                    vec![TraceFrame {
-                        class_idx: 0,
-                        method_idx: u16::MAX,
-                        line: 1,
-                    }],
-                    4,
-                ),
-            ],
-            &loaded,
+        assert_eq!(
+            recorder.ingest_nodes_checked(&trie, &program, &batch(&[(node, 7)])),
+            0
+        );
+        let records = recorder.into_records().unwrap();
+        assert_eq!(records.total_records(), 1);
+        assert_eq!(records.trace_count(), 1);
+    }
+
+    #[test]
+    fn node_ingest_drops_root_unknown_and_unresolvable_nodes_without_poisoning_the_memo() {
+        let program = one_method_program();
+        let mut trie = TraceTrie::new();
+        let valid = trie.child(TraceNodeId::ROOT, frame(1));
+        let bad_class = trie.child(
+            TraceNodeId::ROOT,
+            TraceFrame {
+                class_idx: u16::MAX,
+                method_idx: 0,
+                line: 1,
+            },
+        );
+        let bad_method = trie.child(
+            valid,
+            TraceFrame {
+                class_idx: 0,
+                method_idx: u16::MAX,
+                line: 1,
+            },
+        );
+        // The next node the trie will assign, and the far end of the range.
+        let not_yet = TraceNodeId::from_raw(trie.len() as u32);
+        let far = TraceNodeId::from_raw(u32::MAX);
+
+        let mut recorder = Recorder::new();
+        let dropped = recorder.ingest_nodes_checked(
+            &trie,
+            &program,
+            &batch(&[
+                (valid, 1),
+                (TraceNodeId::ROOT, 2),
+                (not_yet, 3),
+                (bad_class, 4),
+                (far, 5),
+                (valid, 6),
+                (bad_method, 7),
+            ]),
+        );
+        assert_eq!(dropped, 5, "root, two unknown ids, two unresolvable paths");
+        assert_eq!(recorder.records().total_records(), 2);
+
+        // The trie grows past the id that was unknown a batch ago; it now
+        // names a real node and records like any other, while the memoized
+        // verdicts for earlier nodes still hold.
+        let grown = trie.child(valid, frame(2));
+        assert_eq!(grown, not_yet);
+        let dropped = recorder.ingest_nodes_checked(
+            &trie,
+            &program,
+            &batch(&[
+                (grown, 8),
+                (TraceNodeId::ROOT, 9),
+                (valid, 10),
+                (bad_class, 11),
+                (far, 12),
+            ]),
         );
         assert_eq!(dropped, 3);
-        assert_eq!(recorder.records().total_records(), 1);
+        let records = recorder.into_records().unwrap();
+        assert_eq!(records.total_records(), 4);
+        let ids: Vec<TraceId> = records.trace_ids().collect();
+        assert_eq!(records.trace(ids[0]), vec![frame(1)]);
+        assert_eq!(records.trace(ids[1]), vec![frame(1), frame(2)]);
+        let hashes = |is: &[u64]| -> Vec<IdentityHash> {
+            is.iter()
+                .map(|&i| IdentityHash::of(ObjectId::new(i)))
+                .collect()
+        };
+        assert_eq!(records.stream(ids[0]), &hashes(&[1, 6, 10])[..]);
+        assert_eq!(records.stream(ids[1]), &hashes(&[8])[..]);
     }
 }

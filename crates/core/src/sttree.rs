@@ -258,8 +258,7 @@ impl SttTree {
     /// nodes all point at distinct code locations.
     ///
     /// Conflicts are independent of each other, so a slice of conflicts can
-    /// be solved shard-by-shard and the outputs concatenated — the Analyzer's
-    /// worker pool relies on this.
+    /// be solved shard-by-shard and the outputs concatenated.
     pub fn solve_conflicts(&self, conflicts: &[Conflict]) -> Vec<Resolution> {
         let mut out = Vec::new();
         for conflict in conflicts {

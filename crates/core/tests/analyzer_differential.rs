@@ -1,17 +1,23 @@
-//! Property suite for the Analyzer's determinism contract: replay strategy
-//! and parallelism level are pure performance knobs — for any input, every
-//! (strategy × parallelism) combination must produce an
-//! [`AnalysisOutcome`] identical to the sequential hash-probe baseline,
-//! including under seeded fault injection.
+//! Differential suite for the Analyzer's survival replay: on any input, the
+//! per-trace statistics it derives from the columnar survival table —
+//! `histogram`, `typical_survivals` and `objects` of every trace, in trace-id
+//! order — must equal a plain hash-map fold over the same records and
+//! snapshots (one probe per object, counting its snapshot appearances).
+//! Checked on seeded random workloads, on degenerate inputs, and on whole
+//! profiling sessions under seeded fault injection.
 //!
 //! `proptest` is not available offline, so the generator is a hand-rolled
 //! deterministic xorshift: each seed yields one reproducible random workload
 //! (program shape, trace depths, object counts, lifespans), and the property
 //! is checked across a spread of seeds.
 
+use std::collections::{BTreeMap, HashMap};
+use std::path::PathBuf;
+
+use polm2_core::journal::{replay, KIND_COMMIT};
 use polm2_core::{
-    AllocationRecords, AnalysisOutcome, Analyzer, AnalyzerConfig, FaultConfig, ProfilingSession,
-    ReplayStrategy, SnapshotPolicy,
+    AllocationRecords, AnalysisOutcome, Analyzer, AnalyzerConfig, FaultConfig, JournalRetryPolicy,
+    ProfilingSession, SessionJournal, SessionMeta, SnapshotPolicy,
 };
 use polm2_heap::{Heap, HeapConfig, IdentityHash, ObjectId};
 use polm2_metrics::{SimDuration, SimTime};
@@ -19,7 +25,8 @@ use polm2_runtime::{
     ClassDef, HookAction, HookRegistry, Instr, Jvm, LoadedProgram, Loader, MethodDef, Program,
     RuntimeConfig, SizeSpec, TraceFrame,
 };
-use polm2_snapshot::{Snapshot, SnapshotSeries};
+use polm2_snapshot::journal::{recover, DEFAULT_SEGMENT_BYTES};
+use polm2_snapshot::{FsMedia, JournalWriter, Snapshot, SnapshotSeries};
 
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
@@ -96,77 +103,134 @@ fn random_workload(seed: u64) -> (AllocationRecords, SnapshotSeries, LoadedProgr
     (records, series, loaded)
 }
 
-fn analyze_with(
+/// One trace's replayed statistics: histogram, typical survivals, objects.
+type TraceStats = (BTreeMap<u32, u64>, u32, u64);
+
+/// The oracle: survivals per hash by a hash-map fold over every snapshot,
+/// then per trace the survival histogram and its weighted median (the
+/// smallest bucket at which half the objects, rounded up, are covered).
+fn hashmap_fold(records: &AllocationRecords, series: &SnapshotSeries) -> Vec<TraceStats> {
+    let mut survivals: HashMap<IdentityHash, u32> = HashMap::new();
+    for snapshot in series.snapshots() {
+        for &hash in snapshot.hashes() {
+            *survivals.entry(hash).or_insert(0) += 1;
+        }
+    }
+    records
+        .trace_ids()
+        .map(|trace| {
+            let stream = records.stream(trace);
+            let mut histogram = BTreeMap::new();
+            for hash in stream {
+                *histogram
+                    .entry(survivals.get(hash).copied().unwrap_or(0))
+                    .or_insert(0u64) += 1;
+            }
+            let objects = stream.len() as u64;
+            let half = objects.div_ceil(2);
+            let mut covered = 0;
+            let typical = histogram
+                .iter()
+                .find(|&(_, &count)| {
+                    covered += count;
+                    covered >= half
+                })
+                .map_or(0, |(&s, _)| s);
+            (histogram, typical, objects)
+        })
+        .collect()
+}
+
+fn replayed(outcome: &AnalysisOutcome) -> Vec<TraceStats> {
+    outcome
+        .lifetimes
+        .traces()
+        .iter()
+        .map(|t| (t.histogram.clone(), t.typical_survivals, t.objects))
+        .collect()
+}
+
+fn analyze(
     records: &AllocationRecords,
     series: &SnapshotSeries,
     program: &LoadedProgram,
-    replay: ReplayStrategy,
-    parallelism: usize,
 ) -> AnalysisOutcome {
     Analyzer::new(AnalyzerConfig {
-        replay,
-        parallelism,
         min_survivals: 1,
         ..AnalyzerConfig::default()
     })
     .analyze(records, series, program)
 }
 
+fn assert_matches_fold(
+    records: &AllocationRecords,
+    series: &SnapshotSeries,
+    program: &LoadedProgram,
+    what: &str,
+) {
+    let outcome = analyze(records, series, program);
+    assert_eq!(
+        replayed(&outcome),
+        hashmap_fold(records, series),
+        "{what}: survival replay diverged from the hash-map fold"
+    );
+}
+
 #[test]
-fn every_strategy_and_parallelism_matches_the_sequential_baseline() {
+fn seeded_random_workloads_match_the_hashmap_fold() {
     for seed in [1u64, 7, 42, 1234, 0xdead_beef] {
         let (records, series, program) = random_workload(seed);
-        let baseline = analyze_with(&records, &series, &program, ReplayStrategy::HashProbe, 1);
+        let outcome = analyze(&records, &series, &program);
         assert!(
-            !baseline.lifetimes.traces().is_empty(),
+            !outcome.lifetimes.traces().is_empty(),
             "seed {seed}: generator produced a trivial workload"
         );
-        for replay in [ReplayStrategy::HashProbe, ReplayStrategy::SortedMerge] {
-            for parallelism in [1usize, 2, 4, 8] {
-                let outcome = analyze_with(&records, &series, &program, replay, parallelism);
-                assert_eq!(
-                    outcome, baseline,
-                    "seed {seed}: {replay:?} x parallelism={parallelism} diverged"
-                );
-            }
-        }
+        assert!(
+            outcome
+                .lifetimes
+                .traces()
+                .iter()
+                .any(|t| t.histogram.len() > 1),
+            "seed {seed}: no multi-bucket histogram"
+        );
+        assert_matches_fold(&records, &series, &program, &format!("seed {seed}"));
     }
 }
 
 #[test]
-fn degenerate_inputs_are_handled_identically() {
-    let (records, _, program) = random_workload(3);
-    // Empty snapshot series.
-    let empty = SnapshotSeries::new();
-    let base = analyze_with(&records, &empty, &program, ReplayStrategy::HashProbe, 1);
-    for parallelism in [2, 8] {
-        assert_eq!(
-            analyze_with(
-                &records,
-                &empty,
-                &program,
-                ReplayStrategy::SortedMerge,
-                parallelism
-            ),
-            base
-        );
-    }
+fn degenerate_inputs_match_the_hashmap_fold() {
+    let (records, series, program) = random_workload(3);
+    // Empty snapshot series: every object survives zero snapshots.
+    assert_matches_fold(&records, &SnapshotSeries::new(), &program, "no snapshots");
+    // A single snapshot.
+    let first: SnapshotSeries = series.snapshots().iter().take(1).cloned().collect();
+    assert_matches_fold(&records, &first, &program, "one snapshot");
+    // Snapshots holding hashes no record carries.
+    let strangers: SnapshotSeries = (0..3)
+        .map(|seq| {
+            let hashes = (1u64 << 40..(1u64 << 40) + 64)
+                .map(|i| IdentityHash::of(ObjectId::new(i)))
+                .collect();
+            Snapshot::new(
+                seq,
+                SimTime::from_secs(u64::from(seq)),
+                hashes,
+                4096,
+                SimDuration::from_millis(1),
+            )
+        })
+        .collect();
+    assert_matches_fold(&records, &strangers, &program, "foreign hashes");
     // Empty records.
-    let (_, series, program) = random_workload(4);
     let none = AllocationRecords::default();
-    let base = analyze_with(&none, &series, &program, ReplayStrategy::HashProbe, 1);
-    assert_eq!(
-        analyze_with(&none, &series, &program, ReplayStrategy::SortedMerge, 8),
-        base
-    );
-    assert!(base.profile.is_empty());
+    assert_matches_fold(&none, &series, &program, "no records");
+    assert!(analyze(&none, &series, &program).profile.is_empty());
 }
 
 // ---------------------------------------------------------------------------
-// The same contract end-to-end: a full profiling session under seeded fault
-// injection, analyzed with different knobs, must produce identical outcomes
-// (the faults are deterministic per seed, so the Analyzer sees identical
-// evidence — the knobs must not re-order or re-weigh it).
+// The same contract end-to-end: a journaled profiling session under seeded
+// fault injection. The journal replays the session's records and snapshots
+// id for id, so the fold sees exactly the evidence the session analyzed.
 // ---------------------------------------------------------------------------
 
 fn workload_program() -> Program {
@@ -212,14 +276,27 @@ fn workload_hooks() -> HookRegistry {
     h
 }
 
-fn run_chaos_profiling(fault_seed: u64, config: &AnalyzerConfig) -> AnalysisOutcome {
+fn chaos_session_matches_the_fold(fault_seed: u64) {
+    let dir: PathBuf = std::env::temp_dir().join(format!(
+        "polm2-analyzer-diff-{fault_seed}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
     let mut session = ProfilingSession::with_faults(
         SnapshotPolicy::default(),
-        FaultConfig {
-            record_duplicate_rate: 0.0,
-            ..FaultConfig::all_at(0.10, fault_seed)
-        },
+        FaultConfig::all_at(0.10, fault_seed),
     );
+    let writer = JournalWriter::create_clean(Box::new(FsMedia), &dir, DEFAULT_SEGMENT_BYTES)
+        .expect("journal");
+    let meta = SessionMeta {
+        workload: "store".to_string(),
+        seed: fault_seed,
+        duration: SimDuration::from_secs(1),
+        every_n_cycles: 1,
+    };
+    let journal = SessionJournal::create(writer, &meta, JournalRetryPolicy::default(), &mut |_| {})
+        .expect("journal header");
+    session.attach_journal(journal);
     let mut jvm = Jvm::builder(RuntimeConfig::small())
         .hooks(workload_hooks())
         .transformer(session.recorder_agent())
@@ -238,37 +315,28 @@ fn run_chaos_profiling(fault_seed: u64, config: &AnalyzerConfig) -> AnalysisOutc
             jvm.invoke(t, "Store", "flush").expect("flush");
         }
     }
-    session.finish(&mut jvm, config).expect("finish").outcome
+    let report = session
+        .finish(&mut jvm, &AnalyzerConfig::default())
+        .expect("finish");
+    assert!(
+        report.counters.records_dropped_corrupt > 0,
+        "faults reached ingest"
+    );
+
+    let recovered = recover(&mut FsMedia, &dir, KIND_COMMIT).expect("recover");
+    let session = replay(&recovered.frames).expect("replay");
+    assert!(session.committed());
+    assert_eq!(
+        replayed(&report.outcome),
+        hashmap_fold(&session.records, &session.snapshots),
+        "fault seed {fault_seed}: survival replay diverged from the hash-map fold"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn chaos_sessions_agree_across_strategies_and_parallelism() {
+fn chaos_sessions_match_the_hashmap_fold() {
     for fault_seed in [11u64, 23] {
-        let baseline = run_chaos_profiling(
-            fault_seed,
-            &AnalyzerConfig {
-                replay: ReplayStrategy::HashProbe,
-                parallelism: 1,
-                ..AnalyzerConfig::default()
-            },
-        );
-        for (replay, parallelism) in [
-            (ReplayStrategy::SortedMerge, 1),
-            (ReplayStrategy::SortedMerge, 4),
-            (ReplayStrategy::HashProbe, 8),
-        ] {
-            let outcome = run_chaos_profiling(
-                fault_seed,
-                &AnalyzerConfig {
-                    replay,
-                    parallelism,
-                    ..AnalyzerConfig::default()
-                },
-            );
-            assert_eq!(
-                outcome, baseline,
-                "fault seed {fault_seed}: {replay:?} x parallelism={parallelism} diverged under chaos"
-            );
-        }
+        chaos_session_matches_the_fold(fault_seed);
     }
 }

@@ -5,9 +5,8 @@
 //! injection (the chaos faults are deterministic per seed, so divergence can
 //! only come from the collector reordering or re-weighing its work).
 //!
-//! Companion to `parallel_determinism.rs`, which pins the same contract for
-//! the Analyzer's parallelism knob; the collector-level trajectory check
-//! lives in `crates/gc/tests/worker_determinism.rs`.
+//! The collector-level trajectory check lives in
+//! `crates/gc/tests/worker_determinism.rs`.
 
 use polm2_core::{AnalysisOutcome, AnalyzerConfig, FaultConfig, ProfilingSession, SnapshotPolicy};
 use polm2_heap::{BackendKind, ParallelTuning, VerifyMode};

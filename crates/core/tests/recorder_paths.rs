@@ -1,22 +1,19 @@
-//! Determinism suite for the two recorder paths: `RecorderPath::StackWalk`
-//! (the seed behavior — walk the stack, materialize a `Vec<TraceFrame>` per
-//! allocation) and `RecorderPath::TraceTrie` (the O(1) incremental path)
-//! must produce **identical** `AllocationRecords` — same trace ids, same
-//! frames, same identity-hash streams in the same order — and identical
-//! final profiles, for any workload, drain schedule, and fault seed.
+//! Determinism suite for the recorder's trace trie: for any workload and
+//! drain schedule, the traces the trie hands the Recorder must be exactly
+//! the ones a stack walk would capture — event for event — and the
+//! Recorder's `AllocationRecords` must equal records built from those
+//! walked traces (same trace ids, same frames, same identity-hash streams
+//! in the same order).
 //!
-//! The contract holds because both paths buffer events per thread and drain
-//! them in thread order, and trace/symbol interning depends only on
-//! first-seen event order.
+//! The reference is a small stack walker in this file. It interprets the
+//! generated programs, which hold only `Call` and `Alloc` instructions:
+//! keep the frame stack, and on every allocation copy it with the innermost
+//! frame at the allocation line.
 
-use polm2_core::{
-    AllocationRecords, AnalysisOutcome, AnalyzerConfig, FaultConfig, ProfilingSession, Recorder,
-    SnapshotPolicy,
-};
+use polm2_core::{AllocationRecords, Recorder};
 use polm2_heap::IdentityHash;
 use polm2_runtime::{
-    ClassDef, HookAction, HookRegistry, Instr, Jvm, MethodDef, Program, RecorderPath,
-    RuntimeConfig, SizeSpec, TraceFrame,
+    ClassDef, Instr, Jvm, LoadedProgram, MethodDef, Program, RuntimeConfig, SizeSpec, TraceFrame,
 };
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -40,18 +37,45 @@ fn fingerprint(records: &AllocationRecords) -> Fingerprint {
     (records.total_records(), per_trace)
 }
 
-/// Drains the runtime into the recorder the way the pipeline does: columnar
-/// fast path for trie-form buffers, materialized path for stack-walk events.
-fn drain(recorder: &mut Recorder, jvm: &mut Jvm) -> u64 {
-    let mut dropped = 0;
-    jvm.drain_alloc_batches(|trie, program, batch| {
-        dropped += recorder.ingest_nodes_checked(trie, program, batch);
+/// The stack-walking reference: runs `class.method` of a Call/Alloc-only
+/// program symbolically and appends the trace of every allocation, in
+/// execution order, to `out`.
+fn walk(
+    program: &Program,
+    loaded: &LoadedProgram,
+    (class, method): (&str, &str),
+    stack: &mut Vec<TraceFrame>,
+    out: &mut Vec<Vec<TraceFrame>>,
+) {
+    let (class_idx, method_idx) = loaded.resolve(class, method).expect("resolves");
+    stack.push(TraceFrame {
+        class_idx,
+        method_idx,
+        line: 0,
     });
-    if jvm.has_pending_alloc_events() {
-        let events = jvm.drain_alloc_events();
-        dropped += recorder.ingest_checked(events, jvm.program());
+    let body = &program
+        .class(class)
+        .and_then(|c| c.method(method))
+        .expect("defined")
+        .body;
+    for instr in body {
+        match instr {
+            Instr::Alloc { line, .. } => {
+                stack.last_mut().expect("in a frame").line = *line;
+                out.push(stack.clone());
+            }
+            Instr::Call {
+                class,
+                method,
+                line,
+            } => {
+                stack.last_mut().expect("in a frame").line = *line;
+                walk(program, loaded, (class, method), stack, out);
+            }
+            other => panic!("the reference walks Call/Alloc-only programs, not {other:?}"),
+        }
     }
-    dropped
+    stack.pop();
 }
 
 /// A seeded random call graph: methods allocate and call strictly-later
@@ -113,39 +137,65 @@ fn deep_program(depth: usize) -> Program {
     program
 }
 
-/// Runs `program` on two threads under the given recorder path, draining
-/// every `stride` operations (and once at the end), and returns the
-/// resulting records. The op sequence is a pure function of `seed`.
+/// Runs `program` on two threads, draining every `stride` operations (and
+/// once at the end). Each drain checks the trie's per-event traces against
+/// the reference's walked traces for the same operations (per-thread
+/// buffers, concatenated in thread order) and feeds the walked traces, with
+/// the drained hashes, into reference records. Returns the Recorder's
+/// records and the reference records. The op sequence is a pure function
+/// of `seed`.
 fn run_records(
-    path: RecorderPath,
     program: Program,
     entries: &[(String, String)],
     seed: u64,
     ops: usize,
     stride: usize,
-) -> AllocationRecords {
+) -> (AllocationRecords, AllocationRecords) {
     let mut recorder = Recorder::new();
-    let mut jvm = Jvm::builder(RuntimeConfig::small().with_recorder(path))
+    let mut reference = AllocationRecords::default();
+    let mut jvm = Jvm::builder(RuntimeConfig::small())
         .transformer(recorder.agent())
-        .build(program)
+        .build(program.clone())
         .expect("boot");
     let threads = [jvm.spawn_thread(), jvm.spawn_thread()];
+    let mut walked: [Vec<Vec<TraceFrame>>; 2] = Default::default();
+    let mut drain = |jvm: &mut Jvm, walked: &mut [Vec<Vec<TraceFrame>>; 2]| {
+        let expected: Vec<Vec<TraceFrame>> = walked.iter_mut().flat_map(std::mem::take).collect();
+        let mut traced = Vec::new();
+        let mut dropped = 0;
+        jvm.drain_alloc_batches(|trie, loaded, batch| {
+            dropped += recorder.ingest_nodes_checked(trie, loaded, batch);
+            for (&node, &hash) in batch.nodes().iter().zip(batch.hashes()) {
+                let trace = trie.path(node);
+                reference.record(&expected[traced.len()], hash);
+                traced.push(trace);
+            }
+        });
+        assert_eq!(dropped, 0, "no corrupt events");
+        assert_eq!(traced, expected, "trie traces diverged from the stack walk");
+    };
     let mut rng = seed | 1;
     for op in 0..ops {
-        let t = threads[(xorshift(&mut rng) % 2) as usize];
+        let t = (xorshift(&mut rng) % 2) as usize;
         let (class, method) = &entries[xorshift(&mut rng) as usize % entries.len()];
-        jvm.invoke(t, class, method).expect("invoke");
+        jvm.invoke(threads[t], class, method).expect("invoke");
+        walk(
+            &program,
+            jvm.program(),
+            (class, method),
+            &mut Vec::new(),
+            &mut walked[t],
+        );
         if (op + 1) % stride == 0 {
-            assert_eq!(drain(&mut recorder, &mut jvm), 0, "no corrupt events");
+            drain(&mut jvm, &mut walked);
         }
     }
-    assert_eq!(drain(&mut recorder, &mut jvm), 0);
-    assert!(!jvm.has_pending_alloc_events());
-    recorder.into_records().expect("sole owner")
+    drain(&mut jvm, &mut walked);
+    (recorder.into_records().expect("sole owner"), reference)
 }
 
 #[test]
-fn seeded_random_sessions_agree_across_paths_and_drain_schedules() {
+fn seeded_random_sessions_match_the_stack_walk_at_every_drain_stride() {
     for seed in [1u64, 42, 0xdead_beef] {
         let program = random_program(seed);
         let entries: Vec<(String, String)> = program
@@ -153,141 +203,27 @@ fn seeded_random_sessions_agree_across_paths_and_drain_schedules() {
             .iter()
             .map(|c| (c.name.clone(), c.methods[0].name.clone()))
             .collect();
-        // Finish-only (stride > ops), frequent, and ragged drains: each
-        // schedule must agree across paths (drains happen at the same
-        // points in both runs).
+        // Every-op, ragged, and finish-only (stride > ops) drains.
         for stride in [1usize, 7, usize::MAX] {
-            let walk = run_records(
-                RecorderPath::StackWalk,
-                program.clone(),
-                &entries,
-                seed,
-                120,
-                stride,
-            );
-            let trie = run_records(
-                RecorderPath::TraceTrie,
-                program.clone(),
-                &entries,
-                seed,
-                120,
-                stride,
-            );
-            assert!(walk.total_records() > 0, "seed {seed}: trivial workload");
+            let (trie, walk) = run_records(program.clone(), &entries, seed, 120, stride);
+            assert!(trie.total_records() > 0, "seed {seed}: trivial workload");
             assert_eq!(
-                fingerprint(&walk),
                 fingerprint(&trie),
-                "seed {seed} stride {stride}: paths diverged"
+                fingerprint(&walk),
+                "seed {seed} stride {stride}: records diverged"
             );
         }
     }
 }
 
 #[test]
-fn deep_recursion_agrees_across_paths() {
+fn deep_recursion_matches_the_stack_walk() {
     // A 200-deep chain under the default max_stack_depth of 256.
     let program = deep_program(200);
     let entries = vec![("Deep".to_string(), "m0".to_string())];
-    let walk = run_records(RecorderPath::StackWalk, program.clone(), &entries, 9, 40, 3);
-    let trie = run_records(RecorderPath::TraceTrie, program, &entries, 9, 40, 3);
-    assert_eq!(walk.total_records(), 40);
-    assert_eq!(walk.trace_count(), 1, "one unique 200-frame trace");
-    assert_eq!(walk.trace(walk.trace_ids().next().unwrap()).len(), 200);
-    assert_eq!(fingerprint(&walk), fingerprint(&trie));
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end: full profiling sessions (drains inside `after_op`, snapshots,
-// analysis) must yield identical outcomes across recorder paths — including
-// chaos sessions, where the injector forces the materialized drain route.
-// ---------------------------------------------------------------------------
-
-fn workload_program() -> Program {
-    let mut p = Program::new();
-    p.add_class(
-        ClassDef::new("Store")
-            .with_method(
-                MethodDef::new("put")
-                    .push(Instr::call("Cell", "create", 10))
-                    .push(Instr::native("insert", 11)),
-            )
-            .with_method(MethodDef::new("scratch").push(Instr::alloc(
-                "Tmp",
-                SizeSpec::Fixed(512),
-                20,
-            )))
-            .with_method(MethodDef::new("flush").push(Instr::native("flush", 30))),
-    );
-    p.add_class(
-        ClassDef::new("Cell").with_method(MethodDef::new("create").push(Instr::alloc(
-            "Cell",
-            SizeSpec::Fixed(1024),
-            5,
-        ))),
-    );
-    p
-}
-
-fn workload_hooks() -> HookRegistry {
-    let mut h = HookRegistry::new();
-    h.register_action("insert", |ctx| {
-        let obj = ctx.acc.expect("cell before insert");
-        let slot = ctx.heap.roots_mut().create_slot("memtable");
-        ctx.heap.roots_mut().push(slot, obj);
-        HookAction::default()
-    });
-    h.register_action("flush", |ctx| {
-        if let Some(slot) = ctx.heap.roots().find_slot("memtable") {
-            ctx.heap.roots_mut().clear_slot(slot);
-        }
-        HookAction::default()
-    });
-    h
-}
-
-fn run_session(path: RecorderPath, faults: Option<FaultConfig>) -> AnalysisOutcome {
-    let mut session = match faults {
-        Some(f) => ProfilingSession::with_faults(SnapshotPolicy::default(), f),
-        None => ProfilingSession::new(SnapshotPolicy::default()),
-    };
-    let mut jvm = Jvm::builder(RuntimeConfig::small().with_recorder(path))
-        .hooks(workload_hooks())
-        .transformer(session.recorder_agent())
-        .build(workload_program())
-        .expect("boot");
-    let t = jvm.spawn_thread();
-    for batch in 0..9 {
-        for _ in 0..300 {
-            jvm.invoke(t, "Store", "put").expect("put");
-            for _ in 0..8 {
-                jvm.invoke(t, "Store", "scratch").expect("scratch");
-            }
-            session.after_op(&mut jvm).expect("after_op");
-        }
-        if batch % 3 == 2 {
-            jvm.invoke(t, "Store", "flush").expect("flush");
-        }
-    }
-    session
-        .finish(&mut jvm, &AnalyzerConfig::default())
-        .expect("finish")
-        .outcome
-}
-
-#[test]
-fn end_to_end_profiles_agree_across_paths() {
-    let walk = run_session(RecorderPath::StackWalk, None);
-    let trie = run_session(RecorderPath::TraceTrie, None);
-    assert!(!walk.profile.is_empty(), "workload produces a real profile");
-    assert_eq!(walk, trie);
-}
-
-#[test]
-fn chaos_sessions_agree_across_paths() {
-    for fault_seed in [11u64, 23] {
-        let faults = FaultConfig::all_at(0.10, fault_seed);
-        let walk = run_session(RecorderPath::StackWalk, Some(faults));
-        let trie = run_session(RecorderPath::TraceTrie, Some(faults));
-        assert_eq!(walk, trie, "fault seed {fault_seed}: chaos runs diverged");
-    }
+    let (trie, walk) = run_records(program, &entries, 9, 40, 3);
+    assert_eq!(trie.total_records(), 40);
+    assert_eq!(trie.trace_count(), 1, "one unique 200-frame trace");
+    assert_eq!(trie.trace(trie.trace_ids().next().unwrap()).len(), 200);
+    assert_eq!(fingerprint(&trie), fingerprint(&walk));
 }

@@ -9,7 +9,7 @@
 //! `proptest` shrinking is not useful here (the schedule must replay
 //! bit-for-bit), so the generator is a hand-rolled deterministic xorshift:
 //! each seed yields one reproducible workload, checked across a spread of
-//! seeds. Mirrors `crates/core/tests/parallel_determinism.rs`.
+//! seeds, the same scheme as `crates/core/tests/analyzer_differential.rs`.
 
 use polm2_gc::{
     AllocRequest, C4Collector, Collector, G1Collector, GcConfig, GcWork, Ng2cCollector,

@@ -5,8 +5,6 @@ use std::rc::Rc;
 use polm2_gc::{AllocRequest, SafepointRoots, ThreadId};
 use polm2_heap::ObjectId;
 
-use crate::config::RecorderPath;
-use crate::events::AllocEvent;
 use crate::hooks::HookCtx;
 use crate::loader::{RCount, RInstr, RSize};
 use crate::thread::Frame;
@@ -53,15 +51,13 @@ impl Jvm {
                 limit: self.config.max_stack_depth,
             });
         }
-        if self.config.recorder == RecorderPath::TraceTrie {
-            // The caller's line is already the call line here; freeze it as
-            // one more edge of the thread's context path. The root
-            // invocation has no caller, so its context stays the root.
-            if let Some(caller) = t.frames.last() {
-                t.context_node = self
-                    .trace_trie
-                    .child(t.context_node, caller.as_trace_frame());
-            }
+        // The caller's line is already the call line here; freeze it as one
+        // more edge of the thread's context path. The root invocation has no
+        // caller, so its context stays the root.
+        if let Some(caller) = t.frames.last() {
+            t.context_node = self
+                .trace_trie
+                .child(t.context_node, caller.as_trace_frame());
         }
         t.frames.push(Frame::new(class_idx, method_idx));
 
@@ -71,11 +67,9 @@ impl Jvm {
 
         let t = &mut self.threads[thread.raw() as usize];
         let frame = t.frames.pop().expect("frame pushed above");
-        if self.config.recorder == RecorderPath::TraceTrie {
-            // Drop the caller edge added above (the root is its own parent,
-            // covering the root-invocation pop).
-            t.context_node = self.trace_trie.parent(t.context_node);
-        }
+        // Drop the caller edge added above (the root is its own parent,
+        // covering the root-invocation pop).
+        t.context_node = self.trace_trie.parent(t.context_node);
         // A method that set target generations without restoring them gets
         // them unwound here, like NG2C's thread state on frame exit.
         for gen in frame.saved_gens.into_iter().rev() {
@@ -202,10 +196,10 @@ impl Jvm {
             }
             RInstr::RecordAlloc { line } => {
                 let _ = line; // recording is invisible to the line tracker
-                let (object, site) = {
+                let object = {
                     let frame = self.frame_mut(thread);
                     match (frame.acc, frame.last_site) {
-                        (Some(o), Some(s)) => (o, s),
+                        (Some(o), Some(_)) => o,
                         _ => return Err(RuntimeError::NothingToRecord),
                     }
                 };
@@ -214,33 +208,18 @@ impl Jvm {
                     .object(object)
                     .ok_or(RuntimeError::NothingToRecord)?
                     .identity_hash();
-                let at = self.clock.now();
                 let t = &mut self.threads[thread.raw() as usize];
-                match self.config.recorder {
-                    RecorderPath::TraceTrie => {
-                        // The topmost frame's line is the allocation line
-                        // (set by the preceding `Alloc`); one child-edge
-                        // lookup appends it to the thread's context path —
-                        // no stack walk, no per-event allocation.
-                        let top = t
-                            .frames
-                            .last()
-                            .expect("RecordAlloc executes in a frame")
-                            .as_trace_frame();
-                        let node = self.trace_trie.child(t.context_node, top);
-                        t.events.push(node, hash, object, site, at);
-                    }
-                    RecorderPath::StackWalk => {
-                        let trace = t.trace();
-                        t.pending_events.push(AllocEvent {
-                            trace,
-                            object,
-                            hash,
-                            site,
-                            at,
-                        });
-                    }
-                }
+                // The topmost frame's line is the allocation line (set by the
+                // preceding `Alloc`); one child-edge lookup appends it to the
+                // thread's context path — no stack walk, no per-event
+                // allocation.
+                let top = t
+                    .frames
+                    .last()
+                    .expect("RecordAlloc executes in a frame")
+                    .as_trace_frame();
+                let node = self.trace_trie.child(t.context_node, top);
+                t.events.push(node, hash);
             }
         }
         Ok(())

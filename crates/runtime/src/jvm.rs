@@ -8,8 +8,7 @@ use polm2_gc::{Collector, G1Collector, GcEvent, GcLog, PauseEvent, ThreadId};
 use polm2_heap::{Heap, ObjectId};
 use polm2_metrics::{SimDuration, SimTime};
 
-use crate::config::RecorderPath;
-use crate::events::{AllocEvent, AllocEventBuffer};
+use crate::events::AllocEventBuffer;
 use crate::ir::Program;
 use crate::loader::{ClassTransformer, LoadedProgram, Loader};
 use crate::thread::MutatorThread;
@@ -109,7 +108,7 @@ pub struct Jvm {
     pub(crate) clock: SimClock,
     pub(crate) gc_log: GcLog,
     pub(crate) threads: Vec<MutatorThread>,
-    /// The shared trie of call edges (trie recorder path).
+    /// The shared trie of call edges the allocation contexts index into.
     pub(crate) trace_trie: TraceTrie,
     /// Reused safepoint-root collection buffer (allocation + force_collect).
     pub(crate) safepoint_scratch: Vec<ObjectId>,
@@ -215,58 +214,16 @@ impl Jvm {
         &self.threads
     }
 
-    /// The recorder path this runtime was configured with.
-    pub fn recorder_path(&self) -> RecorderPath {
-        self.config.recorder
-    }
-
     /// The shared trace trie (read access; the interpreter maintains it).
     pub fn trace_trie(&self) -> &TraceTrie {
         &self.trace_trie
     }
 
-    /// True if any thread holds undrained allocation events.
-    pub fn has_pending_alloc_events(&self) -> bool {
-        self.threads
-            .iter()
-            .any(|t| !t.events.is_empty() || !t.pending_events.is_empty())
-    }
-
-    /// Drains buffered allocation events (the Recorder's input stream) as
-    /// materialized [`AllocEvent`]s, per-thread batches concatenated in
-    /// thread order.
-    ///
-    /// On the trie recorder path this *materializes* every trace from the
-    /// trie — the compatibility/chaos route. The fast route is
-    /// [`drain_alloc_batches`](Jvm::drain_alloc_batches), which hands the
-    /// Recorder the columnar buffers directly.
-    pub fn drain_alloc_events(&mut self) -> Vec<AllocEvent> {
-        let mut out = Vec::new();
-        for t in &mut self.threads {
-            out.append(&mut t.pending_events);
-            for i in 0..t.events.len() {
-                out.push(AllocEvent {
-                    trace: self.trace_trie.path(t.events.nodes()[i]),
-                    object: t.events.objects()[i],
-                    hash: t.events.hashes()[i],
-                    site: t.events.sites()[i],
-                    at: t.events.ats()[i],
-                });
-            }
-            t.events.clear();
-        }
-        out
-    }
-
-    /// Drains buffered trie-form allocation events in place: `f` is called
-    /// once per non-empty per-thread buffer, in thread order, with the
-    /// shared trie, the loaded program, and the columnar batch. Buffers are
-    /// cleared (retaining capacity) after their callback — the steady state
-    /// allocates nothing.
-    ///
-    /// Only the trie recorder path fills these buffers; on
-    /// [`RecorderPath::StackWalk`] this is a no-op and events must be
-    /// drained via [`drain_alloc_events`](Jvm::drain_alloc_events).
+    /// Drains buffered allocation events (the Recorder's input stream) in
+    /// place: `f` is called once per non-empty per-thread buffer, in thread
+    /// order, with the shared trie, the loaded program, and the columnar
+    /// batch. Buffers are cleared (retaining capacity) after their callback
+    /// — the steady state allocates nothing.
     pub fn drain_alloc_batches(
         &mut self,
         mut f: impl FnMut(&TraceTrie, &LoadedProgram, &AllocEventBuffer),

@@ -15,8 +15,9 @@
 //! * [`Jvm`] — the facade wiring a [`Heap`], a [`Collector`], the loaded
 //!   program, native hooks, mutator threads with real call stacks (frame
 //!   roots keep in-flight objects alive across safepoints), a simulated
-//!   clock, and the GC event log. Allocation events (stack trace + object id
-//!   + identity hash) are buffered for the Recorder to drain.
+//!   clock, and the GC event log. Allocation events (a [`TraceTrie`] node
+//!   standing for the stack trace, plus the object's identity hash) are
+//!   buffered for the Recorder to drain.
 //!
 //! [`Heap`]: polm2_heap::Heap
 //! [`Collector`]: polm2_gc::Collector
@@ -60,9 +61,9 @@ mod thread;
 mod trie;
 
 pub use clock::SimClock;
-pub use config::{RecorderPath, RuntimeConfig};
+pub use config::RuntimeConfig;
 pub use error::RuntimeError;
-pub use events::{AllocEvent, AllocEventBuffer, TraceFrame};
+pub use events::{AllocEventBuffer, TraceFrame};
 pub use hooks::{HookAction, HookCtx, HookRegistry};
 pub use ir::{ClassDef, CodeLoc, CountSpec, Instr, MethodDef, Program, SizeSpec};
 pub use jvm::{Jvm, JvmBuilder};

@@ -3,7 +3,7 @@
 use polm2_gc::ThreadId;
 use polm2_heap::{GenId, ObjectId, SiteId};
 
-use crate::events::{AllocEvent, AllocEventBuffer, TraceFrame};
+use crate::events::{AllocEventBuffer, TraceFrame};
 use crate::trie::TraceNodeId;
 
 /// One call frame.
@@ -62,14 +62,11 @@ pub struct MutatorThread {
     id: ThreadId,
     pub(crate) frames: Vec<Frame>,
     /// Trie node encoding the frames *below* the topmost one, each frozen at
-    /// its call line; maintained on frame push/pop by the interpreter when
-    /// the trie recorder path is active (see [`crate::TraceTrie`]).
+    /// its call line; maintained on frame push/pop by the interpreter (see
+    /// [`crate::TraceTrie`]).
     pub(crate) context_node: TraceNodeId,
-    /// Buffered allocation events, trie form (the fast recorder path).
+    /// Buffered allocation events, trie form.
     pub(crate) events: AllocEventBuffer,
-    /// Buffered allocation events, materialized form (the seed-equivalent
-    /// stack-walk recorder path).
-    pub(crate) pending_events: Vec<AllocEvent>,
     /// Scratch for [`stack_roots`](MutatorThread::stack_roots), reused
     /// across GC safepoints.
     roots_scratch: Vec<ObjectId>,
@@ -84,7 +81,6 @@ impl MutatorThread {
             frames: Vec::new(),
             context_node: TraceNodeId::ROOT,
             events: AllocEventBuffer::new(),
-            pending_events: Vec::new(),
             roots_scratch: Vec::new(),
             last_root_count: 0,
         }
@@ -98,11 +94,6 @@ impl MutatorThread {
     /// Current call depth.
     pub fn depth(&self) -> usize {
         self.frames.len()
-    }
-
-    /// The current stack trace, outermost frame first.
-    pub fn trace(&self) -> Vec<TraceFrame> {
-        self.frames.iter().map(Frame::as_trace_frame).collect()
     }
 
     /// All objects rooted by this thread's stack (locals + accumulators).
@@ -133,22 +124,6 @@ impl MutatorThread {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trace_reflects_frames() {
-        let mut t = MutatorThread::new(ThreadId::new(1));
-        assert_eq!(t.depth(), 0);
-        let mut f0 = Frame::new(0, 0);
-        f0.line = 3;
-        let mut f1 = Frame::new(0, 1);
-        f1.line = 7;
-        t.frames.push(f0);
-        t.frames.push(f1);
-        let trace = t.trace();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace[0].line, 3);
-        assert_eq!(trace[1].line, 7);
-    }
 
     #[test]
     fn stack_roots_include_locals_and_acc() {

@@ -40,6 +40,12 @@ impl TraceNodeId {
     /// The root node: the empty call path.
     pub const ROOT: TraceNodeId = TraceNodeId(0);
 
+    /// Rewraps a raw index. Ids are only meaningful against the trie that
+    /// assigned them; one at or past [`TraceTrie::len`] names no node.
+    pub const fn from_raw(raw: u32) -> Self {
+        TraceNodeId(raw)
+    }
+
     /// The raw index.
     pub const fn raw(self) -> u32 {
         self.0

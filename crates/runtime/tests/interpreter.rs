@@ -199,22 +199,31 @@ fn recorder_style_transformer_sees_allocation_events() {
     let t = vm.spawn_thread();
     vm.invoke(t, "Store", "put").unwrap();
     vm.invoke(t, "Store", "scratch").unwrap();
-    let events = vm.drain_alloc_events();
+    let mut events = Vec::new();
+    vm.drain_alloc_batches(|trie, program, batch| {
+        for (&node, &hash) in batch.nodes().iter().zip(batch.hashes()) {
+            let trace: Vec<CodeLoc> = trie
+                .path(node)
+                .into_iter()
+                .map(|f| program.code_loc(f))
+                .collect();
+            events.push((trace, hash));
+        }
+    });
     assert_eq!(events.len(), 2);
     // The put's trace is Store.put -> Cell.create with the alloc line last.
-    let trace: Vec<CodeLoc> = events[0]
-        .trace
-        .iter()
-        .map(|&f| vm.program().code_loc(f))
-        .collect();
+    let trace = &events[0].0;
     assert_eq!(trace.len(), 2);
     assert_eq!(trace[0], CodeLoc::new("Store", "put", 10));
     assert_eq!(trace[1], CodeLoc::new("Cell", "create", 5));
-    // The event's hash matches the live object's header.
-    let rec = vm.heap().object(events[0].object).unwrap();
-    assert_eq!(rec.identity_hash(), events[0].hash);
-    // Draining empties the buffer.
-    assert!(vm.drain_alloc_events().is_empty());
+    // The event's hash matches the header of the cell `insert` rooted.
+    let slot = vm.heap().roots().find_slot("store").unwrap();
+    let cell = vm.heap().roots().slot(slot)[0];
+    assert_eq!(vm.heap().object(cell).unwrap().identity_hash(), events[0].1);
+    // Draining empties the buffers.
+    let mut left = 0;
+    vm.drain_alloc_batches(|_, _, batch| left += batch.len());
+    assert_eq!(left, 0);
 }
 
 #[test]

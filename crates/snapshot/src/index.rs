@@ -28,7 +28,7 @@
 //! from ready counts and pays only for lookups.
 //!
 //! Everything here is deterministic: same series in, byte-identical counts
-//! out, which is what lets the parallel Analyzer shard object streams freely.
+//! out.
 //!
 //! [`Snapshot::sorted_hashes`]: crate::Snapshot::sorted_hashes
 //! [`SnapshotSeries::push`]: crate::SnapshotSeries::push
@@ -157,25 +157,6 @@ impl SnapshotIndex {
     /// independent of the number of snapshots.
     pub fn survival_counts(&self) -> SurvivalCounts {
         SurvivalCounts::new(self.acc.clone())
-    }
-
-    /// Appearances of `hash` straight off the running accumulator: one
-    /// binary search, no table clone, no directory build. This is the fused
-    /// single-pass replay path for small profiles — a sub-16k-record session
-    /// issues too few lookups to amortize [`survival_counts`]'s 64 Ki-bucket
-    /// directory, so the Analyzer queries the accumulator in place and the
-    /// whole replay is one pass over the record streams. Agrees with
-    /// [`SurvivalCounts::get`] for every input by construction (both read
-    /// the same packed table).
-    #[inline]
-    pub fn survivals_of(&self, hash: u64) -> u32 {
-        if hash >> 32 != 0 {
-            return 0;
-        }
-        match self.acc.binary_search_by(|&entry| (entry >> 32).cmp(&hash)) {
-            Ok(i) => (self.acc[i] & u64::from(u32::MAX)) as u32,
-            Err(_) => 0,
-        }
     }
 }
 
@@ -409,24 +390,6 @@ mod tests {
         assert_eq!(incremental.delta_columns(), rebuilt.delta_columns());
         assert_eq!(incremental.stored_entries(), rebuilt.stored_entries());
         assert_eq!(incremental.survival_counts(), rebuilt.survival_counts());
-    }
-
-    #[test]
-    fn fused_lookup_agrees_with_the_directory_table() {
-        let series: SnapshotSeries = vec![
-            snap(0, &[1, 2, 3, 4]),
-            snap(1, &[2, 3, 4]),
-            snap(2, &[3, 4, 5]),
-        ]
-        .into_iter()
-        .collect();
-        let index = SnapshotIndex::build(&series);
-        let counts = index.survival_counts();
-        for id in 0..16u64 {
-            assert_eq!(index.survivals_of(raw(id)), counts.get(raw(id)), "{id}");
-            assert_eq!(index.survivals_of(raw(id) | 1 << 40), 0, "wide {id}");
-        }
-        assert_eq!(SnapshotIndex::default().survivals_of(raw(1)), 0);
     }
 
     #[test]

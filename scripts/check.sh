@@ -11,7 +11,7 @@ echo "== cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test"
-cargo test --workspace -q
+cargo test --workspace -q --locked
 
 echo "== worker-determinism suites under --verify-heap gc"
 # Verification is observation, not participation: the same bit-identity
