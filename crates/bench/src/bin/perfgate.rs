@@ -46,11 +46,16 @@
 //! tenured, payloads actually written and memcpy'd) and on the simulated
 //! backend. Measures real allocation cost (ns/object, header + payload
 //! stores included) and copy/compact bandwidth (payload bytes memcpy'd per
-//! collection wall-clock second) at 1, 2, and 4 GC workers with the
-//! break-even tuning forced so multi-worker copies genuinely run. The hard
-//! gate: per-cycle heap fingerprints, `GcWork` accounting, and streamed
-//! snapshot sequences must be bit-identical between sim and real at every
-//! worker count. Medians land in `BENCH_heap.json`.
+//! second of the serial evacuation copy phase). The real backend runs at 1,
+//! 2, and 4 GC workers with the break-even tuning forced so the sharded
+//! mark genuinely runs. The hard gate: per-cycle heap fingerprints,
+//! `GcWork` accounting, and streamed snapshot sequences must be
+//! bit-identical between sim and real at every worker count. Medians land
+//! in `BENCH_heap.json`.
+//!
+//! Every `BENCH_*.json` records the host's core count (`host_cpus`, from
+//! `available_parallelism`) so wall-clock figures can be read against the
+//! hardware that produced them.
 //!
 //! ```text
 //! perfgate [--quick]
@@ -70,7 +75,7 @@
 //!   pause beats the 1-worker pause by `x` on the largest workload
 //!   (default 2.0; this gate is always on, as is the single-worker
 //!   throughput floor at 95% of the serial baseline).
-//! * `--min-heap-gbps <x>` — exit non-zero unless the real backend's best
+//! * `--min-heap-gbps <x>` — exit non-zero unless the real backend's
 //!   copy/compact bandwidth on the largest workload reaches `x` GB/s
 //!   (default 0.05; this gate is always on, as is the sim/real equality
 //!   hard gate).
@@ -108,7 +113,7 @@ use polm2_snapshot::{CriuDumper, DumperOptions, HeapDumper, Snapshot, SnapshotSe
 /// or change meaning; the staleness check at the end of `main` fails the
 /// gate until every committed default-path `BENCH_*.json` is regenerated at
 /// this version.
-const SCHEMA_VERSION: u32 = 2;
+const SCHEMA_VERSION: u32 = 3;
 
 struct Workload {
     name: &'static str,
@@ -1058,25 +1063,19 @@ struct HeapGateRun {
     collect_ns: u64,
     /// Wall-clock spent inside the evacuation copy phases alone — the
     /// phase-accurate denominator for copy bandwidth (collection wall-clock
-    /// also pays mark, planning, and fix-up, which PR 8's figure wrongly
-    /// charged to the copier).
+    /// also pays mark, planning, and fix-up).
     copy_phase_ns: u64,
-    /// Critical-path bytes of those copy phases: each phase's largest
-    /// destination-region shard, summed. Equals `copied_bytes` at one
-    /// worker; `copied_bytes / copy_critical_bytes` is the partition's
-    /// modeled parallel speedup (the single-CPU host cannot show wall-clock
-    /// copy scaling, same convention as the GC arm's Amdahl split).
-    copy_critical_bytes: u64,
     /// TLAB window refills on the allocation path.
     tlab_refills: u64,
 }
 
 /// Drives the GC-gate churn workload on the given backend and worker count,
-/// with the parallel break-even tuning forced so multi-worker copies run
-/// even on a single-CPU host. Each cycle also streams a snapshot off the
-/// heap — on the real backend the hash column comes out of the object
-/// headers the backend wrote, so snapshot equality checks the payload
-/// stores end to end.
+/// with the break-even tuning forced so multi-worker runs take the sharded
+/// mark even on a single-CPU host; evacuation, and with it the timed copy
+/// phase, is serial at every worker count. Each cycle also streams a
+/// snapshot off the heap — on the real backend the hash column comes out of
+/// the object headers the backend wrote, so snapshot equality checks the
+/// payload stores and copies end to end.
 fn run_heap_gate(w: &GcGateWorkload, workers: usize, backend: BackendKind) -> HeapGateRun {
     let mut heap = Heap::new(HeapConfig::paper_scaled().with_backend(backend));
     heap.set_parallel_tuning(ParallelTuning::force());
@@ -1130,7 +1129,6 @@ fn run_heap_gate(w: &GcGateWorkload, workers: usize, backend: BackendKind) -> He
     let mut copied_bytes = 0u64;
     let mut collect_ns = 0u64;
     let mut copy_phase_ns = 0u64;
-    let mut copy_critical_bytes = 0u64;
     for cycle in 0..w.cycles + 1 {
         heap.roots_mut().clear_slot(waves[cycle % 2]);
         for i in 0..w.churn_per_cycle {
@@ -1166,7 +1164,6 @@ fn run_heap_gate(w: &GcGateWorkload, workers: usize, backend: BackendKind) -> He
             copied_bytes += after.bytes_copied - before.bytes_copied;
             collect_ns += ns;
             copy_phase_ns += after.copy_phase_ns - before.copy_phase_ns;
-            copy_critical_bytes += after.copy_critical_bytes - before.copy_critical_bytes;
         }
     }
     let tlab_refills = heap.backend_stats().tlab_refills;
@@ -1178,7 +1175,6 @@ fn run_heap_gate(w: &GcGateWorkload, workers: usize, backend: BackendKind) -> He
         copied_bytes,
         collect_ns,
         copy_phase_ns,
-        copy_critical_bytes,
         tlab_refills,
     }
 }
@@ -1222,7 +1218,6 @@ fn main() {
     let mut min_recorder_speedup = 3.0f64;
     let mut min_gc_speedup = 2.0f64;
     let mut min_heap_gbps = 0.05f64;
-    let mut min_copy_scaling = 1.0f64;
     let mut out_path = String::from("BENCH_analyzer.json");
     let mut pipeline_out_path = String::from("BENCH_pipeline.json");
     let mut recorder_out_path = String::from("BENCH_recorder.json");
@@ -1258,10 +1253,6 @@ fn main() {
                 let v = args.next().expect("--min-heap-gbps needs a value");
                 min_heap_gbps = v.parse().expect("--min-heap-gbps needs a number");
             }
-            "--min-copy-scaling" => {
-                let v = args.next().expect("--min-copy-scaling needs a value");
-                min_copy_scaling = v.parse().expect("--min-copy-scaling needs a number");
-            }
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
@@ -1269,6 +1260,7 @@ fn main() {
         }
     }
     let runs = if quick { 3 } else { 7 };
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!("perfgate: analyzer replay, {runs} runs/variant");
     println!(
@@ -1323,8 +1315,9 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"analyzer_replay\",\n  \"schema_version\": {},\n  \"units\": \"median ns/record, {} runs; the oracle times the survival replay only, the analyzer the whole analysis\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"analyzer_replay\",\n  \"schema_version\": {},\n  \"host_cpus\": {},\n  \"units\": \"median ns/record, {} runs; the oracle times the survival replay only, the analyzer the whole analysis\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
         SCHEMA_VERSION,
+        host_cpus,
         runs,
         rows.join(",\n")
     );
@@ -1401,8 +1394,9 @@ fn main() {
         ));
     }
     let pipeline_json = format!(
-        "{{\n  \"bench\": \"online_pipeline\",\n  \"schema_version\": {},\n  \"units\": \"median ns per GC+snapshot cycle\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"online_pipeline\",\n  \"schema_version\": {},\n  \"host_cpus\": {},\n  \"units\": \"median ns per GC+snapshot cycle\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
         SCHEMA_VERSION,
+        host_cpus,
         pipeline_rows.join(",\n")
     );
     std::fs::write(&pipeline_out_path, &pipeline_json).expect("write pipeline bench json");
@@ -1483,12 +1477,14 @@ fn main() {
         concat!(
             "{{\n  \"bench\": \"allocation_recorder\",\n",
             "  \"schema_version\": {},\n",
+            "  \"host_cpus\": {},\n",
             "  \"units\": \"median ns/allocation, {} runs\",\n",
             "  \"drain_every\": {},\n",
             "  \"real_runtime_outputs_identical\": {},\n",
             "  \"workloads\": [\n{}\n  ]\n}}\n"
         ),
         SCHEMA_VERSION,
+        host_cpus,
         runs,
         drain_every,
         real_identical,
@@ -1607,8 +1603,9 @@ fn main() {
         ));
     }
     let gc_json = format!(
-        "{{\n  \"bench\": \"gc_mark_evacuate\",\n  \"schema_version\": {},\n  \"units\": \"median ns per collection cycle; pauses in modeled us\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"gc_mark_evacuate\",\n  \"schema_version\": {},\n  \"host_cpus\": {},\n  \"units\": \"median ns per collection cycle; pauses in modeled us\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
         SCHEMA_VERSION,
+        host_cpus,
         gc_rows.join(",\n")
     );
     std::fs::write(&gc_out_path, &gc_json).expect("write gc bench json");
@@ -1618,12 +1615,11 @@ fn main() {
     println!();
     println!("perfgate: heap backend, real alloc + copy bandwidth, sim/real equality");
     println!(
-        "{:<8} {:>6} | {:>11} {:>11} | {:>9} {:>9} {:>9} | {:>9}",
-        "size", "cycles", "alloc-sim", "alloc-real", "copy-1w", "copy-2w", "copy-4w", "identical"
+        "{:<8} {:>6} | {:>11} {:>11} | {:>9} | {:>9}",
+        "size", "cycles", "alloc-sim", "alloc-real", "copy-gbps", "identical"
     );
     let mut heap_rows = Vec::new();
     let mut large_heap_gbps = 0.0f64;
-    let mut large_copy_scaling = 0.0f64;
     for w in GC_GATE_WORKLOADS {
         let cycles = if quick { w.cycles.min(4) } else { w.cycles };
         let w = GcGateWorkload { cycles, ..*w };
@@ -1672,7 +1668,7 @@ fn main() {
             .min()
             .expect("three sim runs");
         // The allocation loop is identical across the three real runs (the
-        // worker count only changes collection phases), so they are three
+        // worker count only changes the mark), so they are three
         // repetitions of one alloc benchmark; report the fastest, the
         // steady-state figure. The first run's arena is freshly prefaulted
         // and still pays one-time host-side page-materialization debt that
@@ -1682,31 +1678,15 @@ fn main() {
             .map(|r| r.alloc_ns / r.allocs.max(1))
             .min()
             .expect("three real runs");
-        // Phase-accurate copy bandwidth: bytes/ns == GB/s over the *copy
-        // phase* wall-clock only. The serial per-byte cost is measured at
-        // one worker — the only clean measurement a single-CPU host can
-        // make, since a scoped-thread copy phase there pays per-batch
-        // spawn and timeslice overhead a multi-core host would not. The
-        // multi-worker figures apply the partition-balance split
-        // `copied / critical` (each phase's largest destination-region
-        // shard is the critical path) to that measured serial rate — the
-        // same measured-work/modeled-split convention as the GC arm's
-        // pauses. At one worker critical == copied, so the figure is the
-        // plain measured phase bandwidth; the raw multi-worker phase
-        // wall-clocks still land in the JSON row unmodeled.
-        let serial_gbps = real1.copied_bytes as f64 / real1.copy_phase_ns.max(1) as f64;
-        let gbps = |r: &HeapGateRun| {
-            serial_gbps * (r.copied_bytes as f64 / r.copy_critical_bytes.max(1) as f64)
-        };
-        let (g1, g2, g4) = (gbps(&real1), gbps(&real2), gbps(&real4));
-        let copy_scaling = g4 / g1.max(f64::MIN_POSITIVE);
+        // Phase-accurate copy bandwidth: bytes/ns == GB/s over the serial
+        // copy phase's wall-clock only.
+        let gbps = real1.copied_bytes as f64 / real1.copy_phase_ns.max(1) as f64;
         if w.name == "large" {
-            large_heap_gbps = g1.max(g2).max(g4);
-            large_copy_scaling = copy_scaling;
+            large_heap_gbps = gbps;
         }
         println!(
-            "{:<8} {:>6} | {:>8} ns {:>8} ns | {:>9.2} {:>9.2} {:>9.2} | {:>9}",
-            w.name, w.cycles, alloc_sim_ns, alloc_real_ns, g1, g2, g4, identical
+            "{:<8} {:>6} | {:>8} ns {:>8} ns | {:>9.2} | {:>9}",
+            w.name, w.cycles, alloc_sim_ns, alloc_real_ns, gbps, identical
         );
         heap_rows.push(format!(
             concat!(
@@ -1717,13 +1697,8 @@ fn main() {
                 "\"tlab_refills\": {}, ",
                 "\"real_copied_bytes_per_run\": {}, ",
                 "\"copy_phase_ns_1w\": {}, ",
-                "\"copy_phase_ns_2w\": {}, ",
-                "\"copy_phase_ns_4w\": {}, ",
                 "\"copy_gbps_1w\": {:.3}, ",
-                "\"copy_gbps_2w\": {:.3}, ",
-                "\"copy_gbps_4w\": {:.3}, ",
                 "\"copy_gbps_wallclock_1w\": {:.3}, ",
-                "\"copy_scaling_4w_over_1w\": {:.2}, ",
                 "\"outputs_identical\": {}}}"
             ),
             json_escape(w.name),
@@ -1734,17 +1709,11 @@ fn main() {
             real1.tlab_refills,
             real1.copied_bytes,
             real1.copy_phase_ns,
-            real2.copy_phase_ns,
-            real4.copy_phase_ns,
-            g1,
-            g2,
-            g4,
-            // PR 8's convention — payload bytes over *collection* wall-clock
-            // — kept in the row so the phase-accurate figure's gain over it
-            // stays visible (collection wall-clock also pays mark, planning,
-            // and fix-up).
+            gbps,
+            // Payload bytes over *collection* wall-clock, kept in the row so
+            // the phase-accurate figure's gain over it stays visible
+            // (collection wall-clock also pays mark, planning, and fix-up).
             real1.copied_bytes as f64 / real1.collect_ns.max(1) as f64,
-            copy_scaling,
             identical
         ));
     }
@@ -1752,10 +1721,12 @@ fn main() {
         concat!(
             "{{\n  \"bench\": \"heap_backend\",\n",
             "  \"schema_version\": {},\n",
-            "  \"units\": \"alloc in ns/object; copy bandwidth in GB/s of payload memcpy over copy-phase wall-clock, measured at 1 worker and scaled by the partition-balance split at >1 worker\",\n",
+            "  \"host_cpus\": {},\n",
+            "  \"units\": \"alloc in ns/object; copy bandwidth in GB/s of payload memcpy over the serial copy phase's wall-clock (copy_gbps_1w) or the whole collection's (copy_gbps_wallclock_1w), measured at 1 worker; the 2- and 4-worker runs feed the equality gate only\",\n",
             "  \"workloads\": [\n{}\n  ]\n}}\n"
         ),
         SCHEMA_VERSION,
+        host_cpus,
         heap_rows.join(",\n")
     );
     std::fs::write(&heap_out_path, &heap_json).expect("write heap bench json");
@@ -1803,13 +1774,6 @@ fn main() {
     println!(
         "heap copy-bandwidth gate passed: {large_heap_gbps:.3} GB/s >= {min_heap_gbps:.3} GB/s"
     );
-    if large_copy_scaling < min_copy_scaling {
-        eprintln!(
-            "FAIL: large-workload copy scaling (4w/1w) {large_copy_scaling:.2}x below required {min_copy_scaling:.2}x"
-        );
-        std::process::exit(1);
-    }
-    println!("heap copy-scaling gate passed: {large_copy_scaling:.2}x >= {min_copy_scaling:.2}x");
 
     // ---- committed-results staleness check -------------------------------
     // Checked at the default paths regardless of --out overrides: CI runs
@@ -1819,18 +1783,25 @@ fn main() {
     for (path, required) in [
         (
             "BENCH_analyzer.json",
-            &["hashprobe_oracle_ns_per_record", "analyzer_ns_per_record"][..],
+            &[
+                "host_cpus",
+                "hashprobe_oracle_ns_per_record",
+                "analyzer_ns_per_record",
+            ][..],
         ),
-        ("BENCH_pipeline.json", &[]),
-        ("BENCH_recorder.json", &["real_runtime_outputs_identical"]),
-        ("BENCH_gc.json", &[]),
+        ("BENCH_pipeline.json", &["host_cpus"]),
+        (
+            "BENCH_recorder.json",
+            &["host_cpus", "real_runtime_outputs_identical"],
+        ),
+        ("BENCH_gc.json", &["host_cpus"]),
         (
             "BENCH_heap.json",
             &[
+                "host_cpus",
                 "copy_phase_ns_1w",
-                "copy_gbps_4w",
+                "copy_gbps_1w",
                 "copy_gbps_wallclock_1w",
-                "copy_scaling_4w_over_1w",
                 "tlab_refills",
                 "alloc_real_over_sim",
             ],

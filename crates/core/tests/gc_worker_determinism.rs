@@ -102,8 +102,8 @@ fn run_profiling_on(
     .build(workload_program())
     .expect("boot");
     // The small-heap session stays under the production break-even
-    // thresholds; force them to zero so multi-worker runs genuinely take
-    // the parallel mark/evacuate paths this contract is about.
+    // threshold; force it to zero so multi-worker runs genuinely take the
+    // sharded mark this contract is about.
     jvm.heap_mut().set_parallel_tuning(ParallelTuning::force());
     let t = jvm.spawn_thread();
     for batch in 0..6 {

@@ -189,8 +189,7 @@ pub(crate) fn evacuate_young(
     let mut survivor_bytes: u64 = 0;
     let mut promoted: Vec<ObjectId> = Vec::new();
     // Read-only decision pass in allocation order, then one batched
-    // evacuation: planning stays deterministic while the fix-up phase may
-    // run on the heap's configured `gc_workers`.
+    // evacuation that plans, copies, and fixes up in op order.
     let mut ops: Vec<(ObjectId, EvacDecision)> = Vec::with_capacity(young_objects.len());
     for obj in young_objects {
         work.traced_objects += 1;
@@ -367,7 +366,7 @@ pub(crate) fn reclaim_spaces(
     victims.truncate(max_regions as usize);
     // Each victim keeps its own begin/finish pair: the freed region returns
     // to the pool before the next victim is evacuated, preserving the pool's
-    // LIFO region-reuse order. Parallelism lives inside the batch.
+    // LIFO region-reuse order.
     for (_, space, victim) in victims {
         heap.begin_evacuation_of(space, &[victim])?;
         let residents = heap.live_objects_in_region(victim);

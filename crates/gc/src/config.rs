@@ -30,10 +30,10 @@ pub struct GcConfig {
     /// Mixed pauses served by one (conceptually concurrent) marking cycle
     /// before the next cycle runs.
     pub mark_cycle_uses: u32,
-    /// Worker threads for the stop-the-world mark and evacuation phases.
+    /// Worker threads for the stop-the-world mark; evacuation is serial.
     /// Results are bit-identical at any worker count (see DESIGN.md §15);
-    /// workers shorten the wall-clock mark/evacuate, never the simulated
-    /// trajectory. `1` keeps the serial path.
+    /// workers shorten the wall-clock mark, never the simulated trajectory.
+    /// `1` keeps the serial tracer.
     pub gc_workers: usize,
     /// The pause-pricing coefficients.
     pub cost: CostModel,

@@ -12,7 +12,8 @@
 //!   real memory — young regions from a pointer-bump arena
 //!   ([`BumpArena`]), tenured regions from a size-class segregated free
 //!   list ([`FreeList`]) — establishes each object's bytes on allocation,
-//!   and `memcpy`s payloads on relocate/evacuate.
+//!   and `memcpy`s payloads on relocate/evacuate, one
+//!   [`HeapBackend::copy_object`] call per moved object.
 //!
 //! The allocation hot path is TLAB-style: one cached write window per
 //! generation ([`TlabWindow`]) serves consecutive `write_object` calls
@@ -23,13 +24,15 @@
 //! freed inside a collection, HotSpot's `ZeroTLAB` discipline — so an
 //! object's payload content is defined (zeros) without the allocation
 //! path streaming payload-sized stores through the host's write-bandwidth
-//! ceiling; only the evacuation copy phase moves payload bytes. The configured heap is committed and pre-faulted at
-//! construction (the `-XX:+AlwaysPreTouch` analogue), so the store never
-//! eats a first-touch page fault. The tenured free list defers neighbor coalescing to one
-//! address-order pass per GC cycle ([`HeapBackend::gc_cycle_finished`]),
-//! keeping `free` O(1). The evacuation copy phase reports its own timing
-//! ([`HeapBackend::note_copy_phase`]) so bandwidth figures measure the
-//! copier, not the whole collection.
+//! ceiling; only relocation and the evacuation copy phase move payload
+//! bytes. The configured heap is committed and pre-faulted at construction
+//! (the `-XX:+AlwaysPreTouch` analogue), so the store never eats a
+//! first-touch page fault. The tenured free list defers neighbor coalescing
+//! to one address-order pass per GC cycle
+//! ([`HeapBackend::gc_cycle_finished`]), keeping `free` O(1). The heap's
+//! serial evacuation copy phase reports its own timing
+//! ([`HeapBackend::note_copy_phase`]) so bandwidth figures measure the copy,
+//! not the whole collection.
 //!
 //! Because the physical offset of an object inside its region's backing
 //! equals its logical [`Addr::offset`], the two backends produce
@@ -38,7 +41,6 @@
 
 use std::fmt;
 use std::ptr;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::bump::{BumpArena, BumpBlock};
 use crate::config::HeapConfig;
@@ -97,18 +99,13 @@ pub struct BackendStats {
     /// the store itself touches only the header line; the count is the
     /// object bytes made valid, not the bytes the store streamed.
     pub bytes_written: u64,
-    /// Payload bytes memcpy'd by `copy_object` / the parallel copier.
+    /// Payload bytes memcpy'd by `copy_object`.
     pub bytes_copied: u64,
     /// Wall-clock nanoseconds spent inside evacuation *copy phases* only
     /// (reported via [`HeapBackend::note_copy_phase`]); the denominator of
     /// a phase-accurate copy-bandwidth figure, as opposed to whole-pause
     /// wall clock.
     pub copy_phase_ns: u64,
-    /// Critical-path payload bytes of the copy phases: the largest single
-    /// worker shard of each phase, summed. Equals `bytes_copied` for a
-    /// serial copier; the ratio `bytes_copied / copy_critical_bytes` is
-    /// the copy phase's partition-balance speedup.
-    pub copy_critical_bytes: u64,
     /// TLAB window refills on the allocation path (each covers many
     /// `write_object` calls when the windows are doing their job).
     pub tlab_refills: u64,
@@ -150,10 +147,6 @@ pub trait HeapBackend: fmt::Debug + Send {
     /// snapshot path uses this so capture reads heap pages, not a
     /// materialized side table.
     fn read_header_hash(&self, addr: Addr, size: u32) -> Option<IdentityHash>;
-
-    /// A shareable copier for the parallel evacuation apply phase, or
-    /// `None` if copying is a no-op for this backend.
-    fn copier(&self) -> Option<RegionCopier<'_>>;
 
     /// Reads `buf.len()` raw bytes starting at `addr` into `buf`, returning
     /// `false` when this backend keeps no memory or the region is unbacked.
@@ -204,11 +197,10 @@ pub trait HeapBackend: fmt::Debug + Send {
         Ok(())
     }
 
-    /// The heap finished one evacuation-copy phase that took `ns`
-    /// wall-clock nanoseconds with a critical-path (largest worker shard)
-    /// of `critical_bytes`. Accumulated into [`BackendStats`]; a no-op for
-    /// backends that never copy.
-    fn note_copy_phase(&mut self, _ns: u64, _critical_bytes: u64) {}
+    /// The heap finished one evacuation copy phase that took `ns`
+    /// wall-clock nanoseconds. Accumulated into [`BackendStats`]; a no-op
+    /// for backends that never copy.
+    fn note_copy_phase(&mut self, _ns: u64) {}
 
     /// A GC cycle just completed: run deferred allocator maintenance
     /// (address-order free-list coalescing). Never influences logical
@@ -235,9 +227,6 @@ impl HeapBackend for SimBackend {
     fn write_object(&mut self, _addr: Addr, _size: u32, _hash: IdentityHash) {}
     fn copy_object(&mut self, _from: Addr, _to: Addr, _size: u32) {}
     fn read_header_hash(&self, _addr: Addr, _size: u32) -> Option<IdentityHash> {
-        None
-    }
-    fn copier(&self) -> Option<RegionCopier<'_>> {
         None
     }
     fn stats(&self) -> BackendStats {
@@ -276,18 +265,14 @@ pub struct RealBackend {
     tlab_bytes: u32,
     tlab_refills: u64,
     bytes_written: u64,
-    /// Atomic because the parallel apply phase adds to it through
-    /// [`RegionCopier`] while the backend itself is only borrowed shared.
-    bytes_copied: AtomicU64,
+    bytes_copied: u64,
     copy_phase_ns: u64,
-    copy_critical_bytes: u64,
     regions_backed: u64,
 }
 
-// SAFETY: the backend exclusively owns its arena/free-list memory; the raw
-// base pointers alias that memory and are never shared outside `&self`
-// methods (the copier borrows the backend for its lifetime), so moving the
-// backend between threads is sound.
+// SAFETY: the backend exclusively owns its arena/free-list memory and the
+// raw base pointers alias only that memory, so moving the backend between
+// threads is sound.
 unsafe impl Send for RealBackend {}
 
 impl fmt::Debug for RealBackend {
@@ -296,7 +281,7 @@ impl fmt::Debug for RealBackend {
             .field("region_bytes", &self.region_bytes)
             .field("regions_backed", &self.regions_backed)
             .field("bytes_written", &self.bytes_written)
-            .field("bytes_copied", &self.bytes_copied.load(Ordering::Relaxed))
+            .field("bytes_copied", &self.bytes_copied)
             .finish_non_exhaustive()
     }
 }
@@ -330,9 +315,8 @@ impl RealBackend {
             tlab_bytes: (config.tlab_bytes.min(config.region_bytes) as u32).max(1),
             tlab_refills: 0,
             bytes_written: 0,
-            bytes_copied: AtomicU64::new(0),
+            bytes_copied: 0,
             copy_phase_ns: 0,
-            copy_critical_bytes: 0,
             regions_backed: 0,
         }
     }
@@ -464,7 +448,7 @@ impl HeapBackend for RealBackend {
                 size,
             );
         }
-        self.bytes_copied.fetch_add(size as u64, Ordering::Relaxed);
+        self.bytes_copied += size as u64;
     }
 
     fn read_header_hash(&self, addr: Addr, size: u32) -> Option<IdentityHash> {
@@ -489,14 +473,6 @@ impl HeapBackend for RealBackend {
         let header = u64::from_le_bytes(bytes);
         debug_assert_eq!(header as u32, size, "object header size drifted");
         Some(IdentityHash::from_raw((header >> 32) as u32))
-    }
-
-    fn copier(&self) -> Option<RegionCopier<'_>> {
-        Some(RegionCopier {
-            bases: self.bases.clone(),
-            region_bytes: self.region_bytes,
-            bytes_copied: &self.bytes_copied,
-        })
     }
 
     fn read_bytes(&self, addr: Addr, buf: &mut [u8]) -> bool {
@@ -596,9 +572,8 @@ impl HeapBackend for RealBackend {
         Ok(())
     }
 
-    fn note_copy_phase(&mut self, ns: u64, critical_bytes: u64) {
+    fn note_copy_phase(&mut self, ns: u64) {
         self.copy_phase_ns += ns;
-        self.copy_critical_bytes += critical_bytes;
     }
 
     fn gc_cycle_finished(&mut self) {
@@ -610,9 +585,8 @@ impl HeapBackend for RealBackend {
     fn stats(&self) -> BackendStats {
         BackendStats {
             bytes_written: self.bytes_written,
-            bytes_copied: self.bytes_copied.load(Ordering::Relaxed),
+            bytes_copied: self.bytes_copied,
             copy_phase_ns: self.copy_phase_ns,
-            copy_critical_bytes: self.copy_critical_bytes,
             tlab_refills: self.tlab_refills,
             regions_backed: self.regions_backed,
             footprint_bytes: (self.bump.footprint_bytes() + self.tenured.footprint_bytes()) as u64,
@@ -621,67 +595,9 @@ impl HeapBackend for RealBackend {
 
     fn reset_stats(&mut self) {
         self.bytes_written = 0;
-        self.bytes_copied.store(0, Ordering::Relaxed);
+        self.bytes_copied = 0;
         self.copy_phase_ns = 0;
-        self.copy_critical_bytes = 0;
         self.tlab_refills = 0;
-    }
-}
-
-/// Shareable payload copier for the parallel evacuation apply phase.
-///
-/// Snapshot of the backend's region base pointers, handed to the scoped
-/// worker threads. Soundness leans on the same contract as the rest of the
-/// apply phase (see [`crate::evac`]): every move in a batch has a distinct
-/// destination range (bump-allocated), and source regions are detached from
-/// their spaces before evacuation, so no two threads ever write overlapping
-/// bytes and no thread reads bytes another writes.
-pub struct RegionCopier<'a> {
-    bases: Vec<*mut u8>,
-    region_bytes: usize,
-    bytes_copied: &'a AtomicU64,
-}
-
-// SAFETY: per the batch contract above, concurrent `copy` calls touch
-// disjoint destination ranges and read only regions no move writes; the
-// byte counter is atomic.
-unsafe impl Sync for RegionCopier<'_> {}
-// SAFETY: the copier only holds pointers into the backend it borrows from;
-// sending it to a scoped worker thread cannot outlive that borrow.
-unsafe impl Send for RegionCopier<'_> {}
-
-impl RegionCopier<'_> {
-    /// Copies one object payload; called from the apply-phase workers.
-    pub(crate) fn copy(&self, from: Addr, to: Addr, size: u32) {
-        let src = self.bases[from.region.index()];
-        let dst = self.bases[to.region.index()];
-        debug_assert!(!src.is_null() && !dst.is_null(), "copy via unbacked region");
-        if src.is_null() || dst.is_null() {
-            return;
-        }
-        let size = size as usize;
-        debug_assert!(from.offset as usize + size <= self.region_bytes);
-        debug_assert!(to.offset as usize + size <= self.region_bytes);
-        // SAFETY: ranges are in-bounds of their backing blocks; disjointness
-        // across the batch is the apply-phase contract (distinct bump
-        // destinations, detached sources), making concurrent copies sound.
-        unsafe {
-            ptr::copy_nonoverlapping(
-                src.add(from.offset as usize),
-                dst.add(to.offset as usize),
-                size,
-            );
-        }
-        self.bytes_copied.fetch_add(size as u64, Ordering::Relaxed);
-    }
-}
-
-impl fmt::Debug for RegionCopier<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RegionCopier")
-            .field("regions", &self.bases.len())
-            .field("region_bytes", &self.region_bytes)
-            .finish()
     }
 }
 
@@ -749,23 +665,6 @@ mod tests {
         s.ensure_region(RegionId::new(0), true);
         s.write_object(addr(0, 0), 64, IdentityHash::from_raw(1));
         assert_eq!(s.read_header_hash(addr(0, 0), 64), None);
-        assert!(s.copier().is_none());
         assert_eq!(s.stats(), BackendStats::default());
-    }
-
-    #[test]
-    fn copier_counts_bytes_into_the_backend() {
-        let mut b = real();
-        b.ensure_region(RegionId::new(0), true);
-        b.ensure_region(RegionId::new(1), false);
-        b.write_object(addr(0, 0), 4096, IdentityHash::from_raw(7));
-        let copier = b.copier().expect("real backend has a copier");
-        copier.copy(addr(0, 0), addr(1, 0), 4096);
-        drop(copier);
-        assert_eq!(b.stats().bytes_copied, 4096);
-        assert_eq!(
-            b.read_header_hash(addr(1, 0), 4096),
-            Some(IdentityHash::from_raw(7))
-        );
     }
 }

@@ -25,7 +25,7 @@ use std::time::Instant;
 use polm2_metrics::RememberedSetChurn;
 
 use crate::backend::{BackendKind, BackendStats, HeapBackend, RealBackend, SimBackend};
-use crate::evac::{self, DropEntry, EvacDecision, MoveEntry};
+use crate::evac::{EvacDecision, MoveEntry};
 use crate::fasthash::IdHashSet;
 use crate::mark;
 
@@ -48,47 +48,29 @@ pub use verify::{CorruptionKind, PlantedCorruption};
 /// start amortizing it.
 const MIN_PARALLEL_MARK_RECORDS: usize = 16384;
 
-/// Default break-even: below this many batched evacuation ops the fix-up
-/// phase applies serially (same measurement basis as the mark threshold;
-/// fix-up does less work per op than marking, so the bar is lower).
-const MIN_PARALLEL_EVAC_OPS: usize = 8192;
-
-/// Default break-even: below this many payload bytes in one batch the
-/// evacuation copy phase runs on one thread — memcpying less than ~1 MiB
-/// finishes faster than the workers can be spawned.
-const MIN_PARALLEL_COPY_BYTES: u64 = 1 << 20;
-
-/// When the GC safepoint phases actually fan out across worker threads.
+/// When the GC mark actually fans out across worker threads.
 ///
 /// `gc_workers` is a *configuration* — output is bit-identical at any value —
 /// but spawning scoped threads below the break-even, or beyond the machine's
-/// cores, makes the pause *slower* (the regression `BENCH_gc.json` recorded
-/// before PR 8). The tuning separates the two: thresholds gate small work
-/// onto the serial path, and `respect_cpu_budget` caps the fan-out at
-/// `available_parallelism`. Tests and equality gates that must exercise the
-/// parallel code paths regardless of host size use [`ParallelTuning::force`].
+/// cores, makes the pause *slower*. The tuning separates the two: the
+/// threshold gates small marks onto the serial tracer, and
+/// `respect_cpu_budget` caps the fan-out at `available_parallelism`. Tests
+/// and equality gates that must exercise the sharded mark regardless of host
+/// size use [`ParallelTuning::force`]. Evacuation is always serial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelTuning {
     /// Minimum live records before a mark shards across workers.
     pub min_mark_records: usize,
-    /// Minimum batched ops before the evacuation fix-up fans out.
-    pub min_evac_ops: usize,
-    /// Minimum payload bytes in one batch before the evacuation copy phase
-    /// fans out across workers (real backend only; the partition itself is
-    /// always computed, only the thread spawn is gated).
-    pub min_copy_bytes: u64,
     /// Cap the effective worker count at the host's available parallelism.
     pub respect_cpu_budget: bool,
 }
 
 impl ParallelTuning {
-    /// Forces the parallel paths on: zero thresholds, no CPU cap. For tests
+    /// Forces the sharded mark on: zero threshold, no CPU cap. For tests
     /// and determinism/equality gates; never faster in production.
     pub fn force() -> Self {
         ParallelTuning {
             min_mark_records: 0,
-            min_evac_ops: 0,
-            min_copy_bytes: 0,
             respect_cpu_budget: false,
         }
     }
@@ -98,8 +80,6 @@ impl Default for ParallelTuning {
     fn default() -> Self {
         ParallelTuning {
             min_mark_records: MIN_PARALLEL_MARK_RECORDS,
-            min_evac_ops: MIN_PARALLEL_EVAC_OPS,
-            min_copy_bytes: MIN_PARALLEL_COPY_BYTES,
             respect_cpu_budget: true,
         }
     }
@@ -349,10 +329,10 @@ pub struct Heap {
     remembered_scratch: IdHashSet<ObjectId>,
     /// Remembered-set traffic counters (bench- and CLI-visible).
     remembered_churn: RememberedSetChurn,
-    /// Worker threads used inside GC safepoints (mark + evacuate fix-up).
+    /// Worker threads used by the GC mark inside safepoints.
     /// `1` keeps every path serial; any value yields bit-identical output.
     gc_workers: usize,
-    /// When the safepoint phases actually fan out (see [`ParallelTuning`]).
+    /// When the mark actually fans out (see [`ParallelTuning`]).
     tuning: ParallelTuning,
     /// `available_parallelism()` cached at construction; caps the effective
     /// worker count when `tuning.respect_cpu_budget` is set.
@@ -452,22 +432,21 @@ impl Heap {
         }
     }
 
-    /// Worker threads used inside GC safepoints (see [`set_gc_workers`]).
+    /// Worker threads used by the GC mark (see [`set_gc_workers`]).
     ///
     /// [`set_gc_workers`]: Heap::set_gc_workers
     pub fn gc_workers(&self) -> usize {
         self.gc_workers
     }
 
-    /// Sets the number of worker threads the mark and evacuation fix-up
-    /// phases may use behind a safepoint. Values below 1 clamp to 1. Output
-    /// is bit-identical at any worker count; this only trades wall-clock
-    /// time inside the pause.
+    /// Sets the number of worker threads the mark may use behind a
+    /// safepoint. Values below 1 clamp to 1. Output is bit-identical at any
+    /// worker count; this only trades wall-clock time inside the pause.
     pub fn set_gc_workers(&mut self, workers: usize) {
         self.gc_workers = workers.max(1);
     }
 
-    /// The break-even tuning gating the parallel safepoint phases.
+    /// The break-even tuning gating the sharded mark.
     pub fn parallel_tuning(&self) -> ParallelTuning {
         self.tuning
     }
@@ -479,9 +458,9 @@ impl Heap {
         self.tuning = tuning;
     }
 
-    /// Worker threads a safepoint phase will actually use: `gc_workers`,
-    /// capped at the host's available parallelism when the tuning says to
-    /// respect it. Fanning out past the core count can only slow a pause.
+    /// Worker threads the mark will actually use: `gc_workers`, capped at
+    /// the host's available parallelism when the tuning says to respect it.
+    /// Fanning out past the core count can only slow a pause.
     fn effective_gc_workers(&self) -> usize {
         if self.tuning.respect_cpu_budget {
             self.gc_workers.min(self.cpu_budget).max(1)
@@ -830,38 +809,70 @@ impl Heap {
     ///
     /// [`mark_no_need_pages`]: Heap::mark_no_need_pages
     pub fn mark_live(&mut self, extra_roots: &[ObjectId]) -> LiveSet {
+        let live = self.mark(extra_roots, false);
+        self.live_pages_epoch = self.mark_epoch;
+        self.live_pages_seq = self.mutation_seq;
+        live
+    }
+
+    /// Marks only the *young* generation: everything outside young is
+    /// assumed live (the generational bargain), and old->young edges come
+    /// from the remembered set maintained by the `add_ref` write barrier.
+    /// The returned [`LiveSet`] covers young objects only — exactly what a
+    /// minor collection needs.
+    ///
+    /// Prune the remembered set with [`prune_remembered`](Heap::prune_remembered)
+    /// once the collection has relocated or dropped every young object.
+    pub fn mark_live_young(&mut self, extra_roots: &[ObjectId]) -> LiveSet {
+        self.mark(extra_roots, true)
+    }
+
+    /// The mark driver behind [`mark_live`](Heap::mark_live) and
+    /// [`mark_live_young`](Heap::mark_live_young): traces from the root
+    /// table, `extra_roots` and (young-only) the remembered set on the
+    /// serial tracer or the sharded mark, publishes the canonical order,
+    /// and refreshes the marked regions' live bytes. Only whole-heap marks
+    /// rebuild the live-page bitmap; a young-only mark leaves it describing
+    /// the last whole-heap mark, since it never feeds the no-need walk.
+    fn mark(&mut self, extra_roots: &[ObjectId], young_only: bool) -> LiveSet {
         self.mark_epoch += 1;
-        for w in &mut self.live_pages {
-            *w = 0;
-        }
         let (mut bits, mut order) = self.take_mark_buffers();
         let mut region_live = std::mem::take(&mut self.region_live_scratch);
         region_live.clear();
         region_live.resize(self.regions.len(), 0);
+        let parallel = self.use_parallel_mark();
+        let workers = self.effective_gc_workers();
+        let live_pages = if young_only {
+            None
+        } else {
+            self.live_pages.fill(0);
+            Some(&mut self.live_pages[..])
+        };
+        let remembered: &[ObjectId] = if young_only { &self.remembered } else { &[] };
+        let roots = self
+            .roots
+            .iter()
+            .chain(extra_roots.iter().copied())
+            .chain(remembered.iter().copied());
 
-        let eff_workers = self.effective_gc_workers();
-        let live_bytes = if self.use_parallel_mark() {
-            let roots: Vec<ObjectId> = self
-                .roots
-                .iter()
-                .chain(extra_roots.iter().copied())
-                .collect();
+        let live_bytes = if parallel {
+            let roots: Vec<ObjectId> = roots.collect();
             self.mark_stamps
                 .resize_with(self.records.len(), || AtomicU32::new(0));
             mark::parallel_mark(
                 &mark::MarkShards {
-                    workers: eff_workers,
+                    workers,
                     epoch: self.mark_epoch,
                     slots: &self.slots,
                     records: &self.records,
                     stamps: &self.mark_stamps,
                     page_table: &self.page_table,
-                    young_only: false,
+                    young_only,
                 },
                 &roots,
                 &mut bits,
                 &mut region_live,
-                Some(&mut self.live_pages),
+                live_pages,
             )
         } else {
             let mut ctx = MarkCtx {
@@ -869,14 +880,14 @@ impl Heap {
                 slots: &self.slots,
                 records: &mut self.records,
                 page_table: &self.page_table,
-                live_pages: Some(&mut self.live_pages),
+                live_pages,
                 bits,
                 order,
                 region_live,
                 live_bytes: 0,
-                young_only: false,
+                young_only,
             };
-            for id in self.roots.iter().chain(extra_roots.iter().copied()) {
+            for id in roots {
                 ctx.visit(id);
             }
             ctx.trace();
@@ -896,109 +907,14 @@ impl Heap {
         // and sharded marks are indistinguishable to every consumer.
         order_from_bits(&bits, &mut order);
 
-        // Refresh per-region live-byte accounting.
+        // Refresh per-region live-byte accounting for the marked regions.
         for region in &mut self.regions {
-            if region.space().is_some() {
-                region.set_live_bytes(region_live[region.id().index()]);
-            }
-        }
-        self.region_live_scratch = region_live;
-        self.live_pages_epoch = self.mark_epoch;
-        self.live_pages_seq = self.mutation_seq;
-
-        let traced = order.len() as u64;
-        LiveSet {
-            bits,
-            order,
-            live_bytes,
-            traced_objects: traced,
-            epoch: self.mark_epoch,
-            full: true,
-            mutation_seq: self.mutation_seq,
-            roots_version: self.roots.version(),
-        }
-    }
-
-    /// Marks only the *young* generation: everything outside young is
-    /// assumed live (the generational bargain), and old->young edges come
-    /// from the remembered set maintained by the `add_ref` write barrier.
-    /// The returned [`LiveSet`] covers young objects only — exactly what a
-    /// minor collection needs.
-    ///
-    /// Prune the remembered set with [`prune_remembered`](Heap::prune_remembered)
-    /// once the collection has relocated or dropped every young object.
-    pub fn mark_live_young(&mut self, extra_roots: &[ObjectId]) -> LiveSet {
-        self.mark_epoch += 1;
-        let (mut bits, mut order) = self.take_mark_buffers();
-        let mut region_live = std::mem::take(&mut self.region_live_scratch);
-        region_live.clear();
-        region_live.resize(self.regions.len(), 0);
-
-        let eff_workers = self.effective_gc_workers();
-        let live_bytes = if self.use_parallel_mark() {
-            let roots: Vec<ObjectId> = self
-                .roots
-                .iter()
-                .chain(extra_roots.iter().copied())
-                .chain(self.remembered.iter().copied())
-                .collect();
-            self.mark_stamps
-                .resize_with(self.records.len(), || AtomicU32::new(0));
-            mark::parallel_mark(
-                &mark::MarkShards {
-                    workers: eff_workers,
-                    epoch: self.mark_epoch,
-                    slots: &self.slots,
-                    records: &self.records,
-                    stamps: &self.mark_stamps,
-                    page_table: &self.page_table,
-                    young_only: true,
-                },
-                &roots,
-                &mut bits,
-                &mut region_live,
-                // Young-only marks never feed the no-need walk; the
-                // live-page bitmap keeps describing the last whole-heap mark.
-                None,
-            )
-        } else {
-            let mut ctx = MarkCtx {
-                epoch: self.mark_epoch,
-                slots: &self.slots,
-                records: &mut self.records,
-                page_table: &self.page_table,
-                live_pages: None,
-                bits,
-                order,
-                region_live,
-                live_bytes: 0,
-                young_only: true,
+            let marked = if young_only {
+                region.space() == Some(Heap::YOUNG_SPACE)
+            } else {
+                region.space().is_some()
             };
-            for id in self
-                .roots
-                .iter()
-                .chain(extra_roots.iter().copied())
-                .chain(self.remembered.iter().copied())
-            {
-                ctx.visit(id);
-            }
-            ctx.trace();
-            let MarkCtx {
-                bits: b,
-                order: o,
-                region_live: rl,
-                live_bytes,
-                ..
-            } = ctx;
-            bits = b;
-            order = o;
-            region_live = rl;
-            live_bytes
-        };
-        order_from_bits(&bits, &mut order);
-
-        for region in &mut self.regions {
-            if region.space() == Some(Heap::YOUNG_SPACE) {
+            if marked {
                 region.set_live_bytes(region_live[region.id().index()]);
             }
         }
@@ -1011,7 +927,7 @@ impl Heap {
             live_bytes,
             traced_objects: traced,
             epoch: self.mark_epoch,
-            full: false,
+            full: !young_only,
             mutation_seq: self.mutation_seq,
             roots_version: self.roots.version(),
         }
@@ -1135,19 +1051,18 @@ impl Heap {
         Ok(size)
     }
 
-    /// Applies one batch of evacuation decisions — drops and moves — as a
-    /// deterministic serial *planning* phase followed by a *fix-up* phase
-    /// that may run on [`gc_workers`](Heap::gc_workers) threads.
+    /// Applies one batch of evacuation decisions — drops and moves — in
+    /// three serial phases: planning, a timed copy, and fix-up (see
+    /// [`crate::evac`]).
     ///
     /// Planning walks `ops` in order and performs every order-dependent
     /// mutation exactly as the equivalent sequence of
     /// [`relocate`](Heap::relocate) / [`drop_object`](Heap::drop_object)
     /// calls would: destination addresses bump-allocate in op order, region
     /// object lists and live-byte accounting update in op order, and
-    /// `mutation_seq` advances once per op. The fix-up phase then applies
-    /// only commutative effects (record address/age rewrites on disjoint
-    /// slots, atomic page count and dirty/no-need flag updates), so the
-    /// final heap state is bit-identical at any worker count.
+    /// `mutation_seq` advances once per op. The copy phase then moves every
+    /// planned payload through the backend, and the fix-up phase rewrites
+    /// the moved records and the page occupancy and flag bits.
     ///
     /// Each object id must appear at most once per batch.
     ///
@@ -1155,9 +1070,9 @@ impl Heap {
     ///
     /// * [`HeapError::NoSuchObject`] if an op names a dead object.
     /// * Any allocation error from a move's destination space. On error the
-    ///   heap is left mid-evacuation (ops before the failing one applied,
-    ///   later fix-ups dropped) — collectors treat such errors as fatal,
-    ///   matching the documented out-of-memory contract.
+    ///   heap is left mid-evacuation (ops before the failing one planned,
+    ///   no payloads copied and no fix-ups applied) — collectors treat such
+    ///   errors as fatal, matching the documented out-of-memory contract.
     pub fn evacuate_batch(&mut self, ops: &[(ObjectId, EvacDecision)]) -> Result<(), HeapError> {
         #[cfg(debug_assertions)]
         {
@@ -1167,7 +1082,7 @@ impl Heap {
             }
         }
         let mut moves: Vec<MoveEntry> = Vec::with_capacity(ops.len());
-        let mut drops: Vec<DropEntry> = Vec::new();
+        let mut drops: Vec<(Addr, u32)> = Vec::new();
         for &(obj, decision) in ops {
             let slot = match self.slots.get(obj.index()).copied() {
                 Some(slot) if slot != DEAD_SLOT => slot,
@@ -1181,8 +1096,7 @@ impl Heap {
                     self.slots[obj.index()] = DEAD_SLOT;
                     self.free_slots.push(slot);
                     self.live_records -= 1;
-                    let (first, last) = self.page_table.pages_of(rec.addr(), rec.size());
-                    drops.push(DropEntry { first, last });
+                    drops.push((rec.addr(), rec.size()));
                     self.mutation_seq += 1;
                     self.stats.freed_objects += 1;
                     self.stats.freed_bytes += u64::from(rec.size());
@@ -1201,8 +1115,6 @@ impl Heap {
                         .set_live_bytes(src_live.saturating_sub(size));
                     let dst_live = self.regions[new_addr.region.index()].live_bytes();
                     self.regions[new_addr.region.index()].set_live_bytes(dst_live + size);
-                    let (old_first, old_last) = self.page_table.pages_of(old_addr, size);
-                    let (new_first, new_last) = self.page_table.pages_of(new_addr, size);
                     moves.push(MoveEntry {
                         slot,
                         dest,
@@ -1210,10 +1122,6 @@ impl Heap {
                         new_addr,
                         size,
                         bump_age,
-                        old_first,
-                        old_last,
-                        new_first,
-                        new_last,
                     });
                     self.mutation_seq += 1;
                     self.stats.relocated_objects += 1;
@@ -1221,63 +1129,33 @@ impl Heap {
                 }
             }
         }
-        let workers = self.effective_gc_workers();
-        // Copy phase (real backend only): memcpy the planned payloads,
-        // partitioned by destination region and timed on its own so
-        // bandwidth figures measure the copier. Runs before fix-up and
-        // cannot influence logical state — it only moves bytes to addresses
-        // the planning phase already fixed.
+        // Copy phase: memcpy the planned payloads, timed on its own so
+        // bandwidth figures measure the copy. It only moves bytes to
+        // addresses planning already fixed, so it cannot influence logical
+        // state.
         if !moves.is_empty() {
-            if let Some(copier) = self.backend.copier() {
-                let total_bytes: u64 = moves.iter().map(|m| u64::from(m.size)).sum();
-                let copy_workers = if workers > 1 && total_bytes >= self.tuning.min_copy_bytes {
-                    workers
-                } else {
-                    1
-                };
-                let shards = evac::plan_copy_shards(&moves, copy_workers);
-                let critical = shards.iter().map(|s| s.bytes).max().unwrap_or(0);
-                let start = Instant::now();
-                evac::run_copy_phase(&copier, &moves, &shards);
-                let ns = start.elapsed().as_nanos() as u64;
-                drop(copier);
-                self.backend.note_copy_phase(ns, critical);
-            }
-        }
-        if workers > 1 && moves.len() + drops.len() >= self.tuning.min_evac_ops {
-            evac::apply_parallel(
-                workers,
-                &mut self.records,
-                &mut self.page_object_counts,
-                &mut self.page_table,
-                &moves,
-                &drops,
-            );
-        } else {
+            let start = Instant::now();
             for m in &moves {
-                let rec = self.records[m.slot as usize]
-                    .as_mut()
-                    .expect("planned move has a record");
-                rec.relocate(m.dest, m.new_addr);
-                if m.bump_age {
-                    rec.bump_age();
-                }
-                self.page_table.mark_dirty_range(m.new_addr, m.size);
-                self.page_table.clear_no_need_range(m.new_addr, m.size);
-                for p in m.new_first..=m.new_last {
-                    self.page_object_counts[p as usize] += 1;
-                }
-                for p in m.old_first..=m.old_last {
-                    let c = &mut self.page_object_counts[p as usize];
-                    *c = c.checked_sub(1).expect("page occupancy count underflow");
-                }
+                self.backend.copy_object(m.old_addr, m.new_addr, m.size);
             }
-            for d in &drops {
-                for p in d.first..=d.last {
-                    let c = &mut self.page_object_counts[p as usize];
-                    *c = c.checked_sub(1).expect("page occupancy count underflow");
-                }
+            let ns = start.elapsed().as_nanos() as u64;
+            self.backend.note_copy_phase(ns);
+        }
+        for m in &moves {
+            let rec = self.records[m.slot as usize]
+                .as_mut()
+                .expect("planned move has a record");
+            rec.relocate(m.dest, m.new_addr);
+            if m.bump_age {
+                rec.bump_age();
             }
+            self.page_table.mark_dirty_range(m.new_addr, m.size);
+            self.page_table.clear_no_need_range(m.new_addr, m.size);
+            self.adjust_page_counts(m.new_addr, m.size, 1);
+            self.adjust_page_counts(m.old_addr, m.size, -1);
+        }
+        for (addr, size) in drops {
+            self.adjust_page_counts(addr, size, -1);
         }
         Ok(())
     }
@@ -2332,9 +2210,9 @@ mod tests {
         }
     }
 
-    /// Full observable heap state, for serial-vs-parallel evacuation
-    /// equality: object placements, stats, dirty/no-need/free-region
-    /// counts, and per-page object counts.
+    /// Full observable heap state, for evacuation equality checks: object
+    /// placements, stats, dirty/no-need/free-region counts, and per-page
+    /// object counts.
     type HeapFingerprint = (
         Vec<(ObjectId, Addr, SpaceId, u8)>,
         HeapStats,
@@ -2365,14 +2243,10 @@ mod tests {
         )
     }
 
-    fn evacuation_workload(workers: usize) -> Heap {
-        evacuation_workload_on(HeapConfig::small(), workers)
-    }
-
-    fn evacuation_workload_on(config: HeapConfig, workers: usize) -> Heap {
+    /// One young evacuation of a seeded graph: every third object dropped,
+    /// the rest split between survivor copying and promotion.
+    fn evacuation_workload(config: HeapConfig) -> Heap {
         let mut h = Heap::new(config);
-        h.set_parallel_tuning(ParallelTuning::force());
-        h.set_gc_workers(workers);
         let ids = seeded_graph(&mut h, 1500, 30, 0xABCD);
         let old = h.create_space(GenId::new(1), None);
         let sources = h.begin_evacuation(Heap::YOUNG_SPACE).unwrap();
@@ -2399,27 +2273,14 @@ mod tests {
     }
 
     #[test]
-    fn evacuate_batch_is_identical_serial_and_parallel() {
-        let reference = heap_fingerprint(&evacuation_workload(1));
-        for workers in [2usize, 4, 8] {
-            let fp = heap_fingerprint(&evacuation_workload(workers));
-            assert_eq!(fp, reference, "{workers}-worker evacuation diverged");
-        }
-    }
-
-    #[test]
     fn real_backend_matches_sim_on_evacuation_workload() {
-        let real = HeapConfig::small().with_backend(BackendKind::Real);
-        let reference = heap_fingerprint(&evacuation_workload(1));
-        for workers in [1usize, 2, 4] {
-            let h = evacuation_workload_on(real, workers);
-            assert_eq!(h.backend_kind(), BackendKind::Real);
-            let fp = heap_fingerprint(&h);
-            assert_eq!(fp, reference, "real backend diverged at {workers}w");
-            let stats = h.backend_stats();
-            assert!(stats.bytes_written > 0, "payloads were written");
-            assert!(stats.bytes_copied > 0, "moves were memcpy'd");
-        }
+        let reference = heap_fingerprint(&evacuation_workload(HeapConfig::small()));
+        let h = evacuation_workload(HeapConfig::small().with_backend(BackendKind::Real));
+        assert_eq!(h.backend_kind(), BackendKind::Real);
+        assert_eq!(heap_fingerprint(&h), reference, "real backend diverged");
+        let stats = h.backend_stats();
+        assert!(stats.bytes_written > 0, "payloads were written");
+        assert!(stats.bytes_copied > 0, "moves were memcpy'd");
     }
 
     #[test]
@@ -2453,10 +2314,13 @@ mod tests {
         assert_eq!(h.effective_gc_workers(), 64, "force() lifts the cap");
     }
 
-    #[test]
-    fn evacuate_batch_matches_relocate_and_drop_sequence() {
+    /// Evacuates eight 4 KiB young objects twice on `config` — once as one
+    /// batch, once as the equivalent `drop_object`/`bump_age`/`relocate`
+    /// sequence — alternately dropping and promoting. Returns the batch
+    /// heap, the sequence heap, and the moved ids.
+    fn batch_and_sequence(config: HeapConfig) -> (Heap, Heap, Vec<ObjectId>) {
         let build = || {
-            let mut h = heap();
+            let mut h = Heap::new(config);
             let ids: Vec<ObjectId> = (0..8).map(|_| alloc(&mut h, 4096)).collect();
             (h, ids)
         };
@@ -2497,6 +2361,40 @@ mod tests {
         assert_eq!(heap_fingerprint(&batch), heap_fingerprint(&serial));
         batch.check_invariants();
         serial.check_invariants();
+        let moved = ids.iter().skip(1).step_by(2).copied().collect();
+        (batch, serial, moved)
+    }
+
+    #[test]
+    fn evacuate_batch_matches_relocate_and_drop_sequence() {
+        batch_and_sequence(HeapConfig::small());
+    }
+
+    #[test]
+    fn real_evacuate_batch_copies_like_relocate_and_times_the_copy() {
+        let real = HeapConfig::small().with_backend(BackendKind::Real);
+        let (batch, serial, moved) = batch_and_sequence(real);
+        let header = |h: &Heap, id: ObjectId| {
+            let mut buf = [0u8; crate::OBJECT_HEADER_BYTES];
+            let addr = h.object(id).expect("moved object is live").addr();
+            assert!(
+                h.backend.read_bytes(addr, &mut buf),
+                "destination is backed"
+            );
+            buf
+        };
+        let mut moved_bytes = 0u64;
+        for &id in &moved {
+            let rec = batch.object(id).unwrap();
+            let expected = (u64::from(rec.identity_hash().raw()) << 32) | u64::from(rec.size());
+            assert_eq!(header(&batch, id), expected.to_le_bytes(), "{id} header");
+            assert_eq!(header(&batch, id), header(&serial, id), "{id} header");
+            moved_bytes += u64::from(rec.size());
+        }
+        let stats = batch.backend_stats();
+        assert_eq!(stats.bytes_copied, moved_bytes);
+        assert_eq!(stats.bytes_copied, serial.backend_stats().bytes_copied);
+        assert!(stats.copy_phase_ns > 0, "the copy phase was timed");
     }
 
     #[test]

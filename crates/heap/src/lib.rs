@@ -64,8 +64,7 @@ mod stats;
 mod tlab;
 
 pub use backend::{
-    BackendKind, BackendStats, HeapBackend, RealBackend, RegionCopier, SimBackend,
-    OBJECT_HEADER_BYTES,
+    BackendKind, BackendStats, HeapBackend, RealBackend, SimBackend, OBJECT_HEADER_BYTES,
 };
 pub use bump::{BumpArena, BumpBlock};
 pub use class::{ClassInfo, ClassRegistry};

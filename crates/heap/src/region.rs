@@ -164,40 +164,6 @@ pub struct PageTable {
     page_bytes: u32,
 }
 
-/// Atomic view over one of the page-flag bitmaps, handed to evacuation
-/// workers so flag updates (dirty-OR, no-need-ANDNOT) can race safely.
-/// All updates exposed through it are commutative, so the final word values
-/// are independent of worker interleaving.
-pub(crate) struct AtomicPageBits<'a> {
-    words: &'a [std::sync::atomic::AtomicU32],
-}
-
-impl AtomicPageBits<'_> {
-    /// ORs the page's bit into the bitmap.
-    pub(crate) fn set(&self, page: u32) {
-        let (word, bit) = (page as usize / 32, page % 32);
-        self.words[word].fetch_or(1 << bit, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// ANDNOTs the page's bit out of the bitmap.
-    pub(crate) fn clear(&self, page: u32) {
-        let (word, bit) = (page as usize / 32, page % 32);
-        self.words[word].fetch_and(!(1 << bit), std::sync::atomic::Ordering::Relaxed);
-    }
-}
-
-/// Reinterprets a `&mut [u32]` as a shared slice of `AtomicU32`.
-///
-/// Sound because `AtomicU32` has the same size and alignment as `u32` on
-/// every supported platform, every bit pattern is valid for both, and the
-/// exclusive borrow guarantees no non-atomic access can overlap the
-/// atomic view's lifetime.
-pub(crate) fn as_atomic_words(words: &mut [u32]) -> &[std::sync::atomic::AtomicU32] {
-    // SAFETY: same layout, every bit pattern valid, and the exclusive borrow
-    // rules out overlapping non-atomic access (see the doc comment above).
-    unsafe { &*(words as *mut [u32] as *const [std::sync::atomic::AtomicU32]) }
-}
-
 fn bit_words(page_count: u32) -> Vec<u32> {
     vec![0u32; (page_count as usize).div_ceil(32)]
 }
@@ -306,18 +272,6 @@ impl PageTable {
     pub fn no_need_count(&self) -> u32 {
         self.no_need.iter().map(|w| w.count_ones()).sum()
     }
-
-    /// Atomic views over the dirty and no-need bitmaps, in that order, for
-    /// racing commutative updates from evacuation workers.
-    pub(crate) fn atomic_views(&mut self) -> (AtomicPageBits<'_>, AtomicPageBits<'_>) {
-        let dirty = AtomicPageBits {
-            words: as_atomic_words(&mut self.dirty),
-        };
-        let no_need = AtomicPageBits {
-            words: as_atomic_words(&mut self.no_need),
-        };
-        (dirty, no_need)
-    }
 }
 
 #[cfg(test)]
@@ -411,21 +365,5 @@ mod tests {
         assert!(pt.flags_of(32).no_need);
         assert!(!pt.flags_of(33).no_need);
         assert_eq!(pt.iter().filter(|f| f.no_need).count(), 3);
-    }
-
-    #[test]
-    fn atomic_views_match_serial_updates() {
-        let mut pt = PageTable::new(70, 16, 4096);
-        pt.set_no_need(32, true);
-        {
-            let (dirty, no_need) = pt.atomic_views();
-            dirty.set(33);
-            dirty.set(0);
-            no_need.clear(32);
-        }
-        assert!(pt.flags_of(33).dirty);
-        assert!(pt.flags_of(0).dirty);
-        assert_eq!(pt.dirty_count(), 2);
-        assert_eq!(pt.no_need_count(), 0);
     }
 }

@@ -381,9 +381,9 @@ fn collect_young(heap: &mut Heap) {
 
 /// Drives one mutation trace through a sim and a real heap in lockstep and
 /// asserts bit-identical logical state throughout. With `parallel_4w`, both
-/// heaps run every safepoint phase through the forced parallel paths
-/// ([`ParallelTuning::force`]) at 4 workers — including the partitioned
-/// evacuation copy phase — which must not move a single logical bit.
+/// heaps run every mark through the forced sharded mark
+/// ([`ParallelTuning::force`]) at 4 workers, which must not move a single
+/// logical bit; evacuation stays serial.
 fn differential_trace(ops: &[HeapOp], parallel_4w: bool) {
     let mut sim = Heap::new(HeapConfig::small());
     // A small TLAB window (one page) forces frequent refills so the
@@ -497,9 +497,8 @@ proptest! {
         differential_trace(&ops, false);
     }
 
-    /// The same lockstep equality holds with every parallel safepoint path
-    /// forced on at 4 workers — sharded mark, the partitioned evacuation
-    /// copy phase, and the parallel fix-up must not move one logical bit.
+    /// The same lockstep equality holds with the sharded mark forced on at 4
+    /// workers: it must not move one logical bit on either backend.
     #[test]
     fn sim_and_real_heaps_stay_bit_identical_at_4_workers(
         ops in proptest::collection::vec(heap_op(), 1..120)

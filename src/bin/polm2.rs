@@ -135,7 +135,7 @@ fn print_usage() {
          \x20     --seed <n>         workload seed (default 7)\n\
          \x20     --chaos <rate>     inject faults at this rate, 0.0-1.0 (default 0)\n\
          \x20     --chaos-seed <n>   fault-injection seed (default 1)\n\
-         \x20     --gc-workers <n>   GC mark/evacuate worker threads (default 1; the\n\
+         \x20     --gc-workers <n>   GC mark worker threads (default 1; the\n\
          \x20                        profile is bit-identical at any worker count)\n\
          \x20     --heap-backend <b> sim | real (default sim; real backs regions with\n\
          \x20                        actual memory — the profile is bit-identical)\n\
@@ -185,7 +185,7 @@ fn print_usage() {
          \x20     --minutes <n>      run length in simulated minutes (default 15)\n\
          \x20     --warmup <n>       ignored prefix in simulated minutes (default 3)\n\
          \x20     --seed <n>         workload seed (default 42)\n\
-         \x20     --gc-workers <n>   GC mark/evacuate worker threads (default 1)\n\
+         \x20     --gc-workers <n>   GC mark worker threads (default 1)\n\
          \x20     --heap-backend <b> sim | real (default sim)\n\
          \x20     --tlab-kb <n>      real-backend allocation window size in KiB (default 256)\n\
          \x20     --verify-heap <m>  off | gc | full (default off); violations exit 7\n\
