@@ -232,12 +232,13 @@ pub(crate) fn evacuate_young(
     // Promotion turns edges to still-young children into old->young edges
     // the write barrier never saw; remember them now (the promotion buffer
     // of a real generational collector).
+    let mut children: Vec<ObjectId> = Vec::new();
     for obj in promoted {
-        let children: Vec<ObjectId> = heap
-            .object(obj)
-            .map(|r| r.refs().to_vec())
-            .unwrap_or_default();
-        for child in children {
+        children.clear();
+        if let Some(r) = heap.object(obj) {
+            children.extend_from_slice(r.refs());
+        }
+        for &child in &children {
             heap.remember_if_young(child);
         }
     }

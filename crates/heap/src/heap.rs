@@ -28,10 +28,11 @@ use crate::backend::{BackendKind, BackendStats, HeapBackend, RealBackend, SimBac
 use crate::evac::{EvacDecision, MoveEntry};
 use crate::fasthash::IdHashSet;
 use crate::mark;
+use crate::radix;
 
 use crate::{
-    Addr, ClassId, ClassRegistry, GenId, HeapConfig, HeapError, HeapStats, ObjectId, ObjectRecord,
-    PageTable, Region, RegionId, RootTable, SiteId, Space, SpaceId,
+    Addr, ClassId, ClassRegistry, GenId, HeapConfig, HeapError, HeapStats, IdentityHash, ObjectId,
+    ObjectRecord, PageTable, Region, RegionId, RootTable, SiteId, Space, SpaceId,
 };
 
 /// Integrity verification and corruption planting (child module so it can
@@ -144,7 +145,7 @@ pub struct LiveSet {
     /// Membership bitmap indexed by `ObjectId::index()`.
     bits: Vec<u64>,
     /// Live objects in canonical ascending object-id order. The canonical
-    /// order (rather than BFS discovery order) makes the published set
+    /// order (rather than discovery order) makes the published set
     /// independent of how the mark was sharded across workers.
     order: Vec<ObjectId>,
     live_bytes: u64,
@@ -211,9 +212,13 @@ impl LiveSet {
 /// Shared marking machinery over the slab table.
 ///
 /// Holds disjoint borrows of the heap fields a trace mutates so root
-/// iteration can proceed from the (unborrowed) root table. Discovery order
-/// doubles as the BFS queue: `trace` scans `order` by index, which visits
-/// nodes in exactly the order the seed's explicit `VecDeque` did.
+/// iteration can proceed from the (unborrowed) root table. `visit` reads
+/// each record exactly once: it stamps and accounts the object there and
+/// pushes its *slot* onto the work stack only if it has outgoing refs, so
+/// leaves never re-enter the loop and `trace` never re-resolves an id.
+/// Every effect (bitmap, bytes, region bytes, live pages) is
+/// order-independent, so the stack's DFS order is unobservable; the
+/// canonical order is rebuilt from the bitmap afterwards.
 struct MarkCtx<'a> {
     epoch: u32,
     slots: &'a [u32],
@@ -221,9 +226,10 @@ struct MarkCtx<'a> {
     page_table: &'a PageTable,
     /// Live-page bitmap rebuilt during the trace (whole-heap marks only).
     live_pages: Option<&'a mut [u64]>,
-    bits: Vec<u64>,
-    order: Vec<ObjectId>,
-    region_live: Vec<u32>,
+    bits: &'a mut [u64],
+    region_live: &'a mut [u32],
+    /// Slots of marked objects whose refs are not yet scanned.
+    stack: &'a mut Vec<u32>,
     live_bytes: u64,
     young_only: bool,
 }
@@ -246,8 +252,7 @@ impl MarkCtx<'_> {
             return;
         }
         rec.set_mark_epoch(self.epoch);
-        bit_set(&mut self.bits, id.index());
-        self.order.push(id);
+        bit_set(self.bits, id.index());
         self.live_bytes += u64::from(rec.size());
         self.region_live[rec.addr().region.index()] += rec.size();
         if let Some(pages) = self.live_pages.as_deref_mut() {
@@ -256,20 +261,27 @@ impl MarkCtx<'_> {
                 bit_set(pages, p as usize);
             }
         }
+        if !rec.refs().is_empty() {
+            self.stack.push(slot);
+        }
     }
 
+    /// Drains the work stack. Explicit, so arbitrarily deep graphs never
+    /// recurse. Refs are read by index rather than copied out: `visit`
+    /// stamps other records but never edits an edge list, and a huge array
+    /// object would otherwise pin a scratch buffer of its size.
     fn trace(&mut self) {
-        let mut scratch: Vec<ObjectId> = Vec::new();
-        let mut i = 0;
-        while i < self.order.len() {
-            let id = self.order[i];
-            i += 1;
-            let slot = self.slots[id.index()] as usize;
-            // One reusable scratch buffer instead of a fresh clone per node.
-            scratch.clear();
-            scratch.extend_from_slice(self.records[slot].as_ref().expect("marked record").refs());
-            for &child in scratch.iter() {
+        while let Some(slot) = self.stack.pop() {
+            let slot = slot as usize;
+            let mut k = 0;
+            while let Some(&child) = self.records[slot]
+                .as_ref()
+                .expect("marked record")
+                .refs()
+                .get(k)
+            {
                 self.visit(child);
+                k += 1;
             }
         }
     }
@@ -346,6 +358,12 @@ pub struct Heap {
     mark_stamps: Vec<AtomicU32>,
     /// Retained per-mark region live-byte accumulator (cleared in place).
     region_live_scratch: Vec<u32>,
+    /// Retained serial-mark work stack (record slots); empty between marks.
+    mark_stack: Vec<u32>,
+    /// Retained hash-column keys and radix-sort ping-pong buffer (see
+    /// [`Heap::live_hash_column`]).
+    column_keys: Vec<u32>,
+    column_scratch: Vec<u32>,
     /// Bounded pool of retired `(bits, order)` buffers from consumed
     /// [`LiveSet`]s, reused by later marks (see [`Heap::retire_live_set`]).
     retired_live_buffers: Vec<(Vec<u64>, Vec<ObjectId>)>,
@@ -426,6 +444,9 @@ impl Heap {
             backend,
             mark_stamps: Vec::new(),
             region_live_scratch: Vec::new(),
+            mark_stack: Vec::new(),
+            column_keys: Vec::new(),
+            column_scratch: Vec::new(),
             retired_live_buffers: Vec::new(),
             verify_passes: 0,
             stats: HeapStats::default(),
@@ -881,9 +902,9 @@ impl Heap {
                 records: &mut self.records,
                 page_table: &self.page_table,
                 live_pages,
-                bits,
-                order,
-                region_live,
+                bits: &mut bits,
+                region_live: &mut region_live,
+                stack: &mut self.mark_stack,
                 live_bytes: 0,
                 young_only,
             };
@@ -891,17 +912,7 @@ impl Heap {
                 ctx.visit(id);
             }
             ctx.trace();
-            let MarkCtx {
-                bits: b,
-                order: o,
-                region_live: rl,
-                live_bytes,
-                ..
-            } = ctx;
-            bits = b;
-            order = o;
-            region_live = rl;
-            live_bytes
+            ctx.live_bytes
         };
         // Canonicalize the published order (ascending object id) so serial
         // and sharded marks are indistinguishable to every consumer.
@@ -1561,34 +1572,61 @@ impl Heap {
     }
 
     /// Streams the identity hashes of `live` into `out` as the sorted,
-    /// duplicate-free u64 column a [`SnapshotSeries`] ingests — reading each
-    /// hash back out of the backend's object headers where real memory
-    /// exists (falling back to the object table for sim heaps and tiny
-    /// objects). This is the Dumper's capture path: no per-snapshot hash set
-    /// is ever materialized.
+    /// duplicate-free u64 column a [`SnapshotSeries`] ingests. This is the
+    /// Dumper's capture path: no per-snapshot hash set is ever materialized.
+    ///
+    /// The sim backend has no memory, and its headers are
+    /// `IdentityHash::of(id)` by construction, so the hashes come straight
+    /// from `live`'s ids without touching the object table. A real-memory
+    /// backend reads each hash back out of the object header (falling back
+    /// to the object table for objects too small to hold one). The keys are
+    /// radix sorted in buffers the heap retains across captures, then
+    /// deduplicated — 32-bit hashes can collide — and widened.
+    ///
+    /// `live` must be current: every member still allocated, as after a
+    /// fresh [`mark_live`] or a [`take_published_live`].
     ///
     /// `SnapshotSeries` lives in `polm2-snapshot`; the column contract
     /// (ascending, deduplicated, widened raw hashes) is shared between the
     /// two crates.
-    pub fn live_hash_column(&self, live: &LiveSet, out: &mut Vec<u64>) {
-        out.clear();
-        out.reserve(live.len());
-        for id in live.iter() {
-            if let Some(rec) = slab_get(&self.slots, &self.records, id) {
-                let hash = self
-                    .backend
-                    .read_header_hash(rec.addr(), rec.size())
-                    .unwrap_or_else(|| rec.identity_hash());
+    ///
+    /// [`mark_live`]: Heap::mark_live
+    /// [`take_published_live`]: Heap::take_published_live
+    pub fn live_hash_column(&mut self, live: &LiveSet, out: &mut Vec<u64>) {
+        let mut keys = std::mem::take(&mut self.column_keys);
+        keys.clear();
+        keys.reserve_exact(live.len());
+        if self.backend.kind() == BackendKind::Sim {
+            keys.extend(live.iter().map(|id| {
+                let hash = IdentityHash::of(id);
                 debug_assert_eq!(
-                    hash,
-                    rec.identity_hash(),
-                    "backend object header drifted from the object table"
+                    slab_get(&self.slots, &self.records, id).map(ObjectRecord::identity_hash),
+                    Some(hash),
+                    "live set member {id} is not a current object"
                 );
-                out.push(u64::from(hash.raw()));
+                hash.raw()
+            }));
+        } else {
+            for id in live.iter() {
+                if let Some(rec) = slab_get(&self.slots, &self.records, id) {
+                    let hash = self
+                        .backend
+                        .read_header_hash(rec.addr(), rec.size())
+                        .unwrap_or_else(|| rec.identity_hash());
+                    debug_assert_eq!(
+                        hash,
+                        rec.identity_hash(),
+                        "backend object header drifted from the object table"
+                    );
+                    keys.push(hash.raw());
+                }
             }
         }
-        out.sort_unstable();
-        out.dedup();
+        radix::sort_u32(&mut keys, &mut self.column_scratch);
+        keys.dedup();
+        out.clear();
+        out.extend(keys.iter().map(|&k| u64::from(k)));
+        self.column_keys = keys;
     }
 
     /// Verifies internal invariants; used by tests and debug assertions.
@@ -2453,7 +2491,7 @@ mod tests {
         let a = alloc(&mut h, 64);
         let b = alloc(&mut h, 64);
         let c = alloc(&mut h, 64);
-        // Root c first and wire edges so BFS discovery order (c, a, b)
+        // Root c first and wire edges so discovery order (c, a, b)
         // differs from id order (a, b, c).
         h.add_ref(c, a).unwrap();
         h.add_ref(a, b).unwrap();

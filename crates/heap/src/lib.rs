@@ -57,6 +57,7 @@ mod heap;
 mod ids;
 mod mark;
 mod object;
+mod radix;
 mod region;
 mod roots;
 mod space;

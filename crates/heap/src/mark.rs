@@ -6,8 +6,9 @@
 //! * **Claim at discovery.** A worker owns an object iff it wins the atomic
 //!   swap of the record's claim stamp to the current epoch — one `AtomicU32`
 //!   RMW per record, the CAS the slab table + epoch bits were built for.
-//!   The winner accounts the object (membership bit, bytes, region bytes,
-//!   live pages) into its private buffers and queues it for ref expansion;
+//!   The winner reads the record once: it accounts the object (membership
+//!   bit, bytes, region bytes, live pages) into its private buffers and
+//!   queues its *slot* for ref expansion only if it has outgoing refs;
 //!   losers skip. Claims make every accounting effect exactly-once, so the
 //!   merged result is independent of which worker got there first.
 //! * **Per-worker overflow + stealing.** Each worker drains a private stack;
@@ -33,7 +34,7 @@ const DONATE_THRESHOLD: usize = 512;
 const DONATE_CHECK_EVERY: usize = 64;
 /// Keep the shared overflow queue below this many entries.
 const QUEUE_CAP: usize = 8192;
-/// Steal at most this many ids per visit to the shared queue.
+/// Steal at most this many slots per visit to the shared queue.
 const STEAL_BATCH: usize = 256;
 
 /// Immutable inputs shared by every mark worker.
@@ -55,23 +56,24 @@ struct WorkerState {
     region_live: Vec<u32>,
     live_pages: Option<Vec<u64>>,
     live_bytes: u64,
-    /// Claimed objects awaiting ref expansion.
-    local: Vec<ObjectId>,
+    /// Slots of claimed objects with refs, awaiting expansion.
+    local: Vec<u32>,
 }
 
 /// Shared overflow queue plus the count of workers still holding work; both
 /// under one lock so termination ("empty and nobody active") is atomic.
 struct SharedQueue {
-    queue: Vec<ObjectId>,
+    queue: Vec<u32>,
     active: usize,
 }
 
 impl MarkShards<'_> {
-    /// Attempts to claim `id` for this epoch. Returns the record iff this
-    /// caller won the claim *and* the object is in scope (young-only marks
-    /// discard non-young objects after claiming — harmless, since stamps
-    /// are scratch and the object is simply never accounted).
-    fn try_claim(&self, id: ObjectId) -> Option<&ObjectRecord> {
+    /// Attempts to claim `id` for this epoch. Returns the record's slot and
+    /// the record iff this caller won the claim *and* the object is in scope
+    /// (young-only marks discard non-young objects after claiming —
+    /// harmless, since stamps are scratch and the object is simply never
+    /// accounted).
+    fn try_claim(&self, id: ObjectId) -> Option<(u32, &ObjectRecord)> {
         let slot = self.slots.get(id.index()).copied()?;
         if slot == DEAD_SLOT {
             return None;
@@ -85,12 +87,19 @@ impl MarkShards<'_> {
         if self.young_only && rec.space() != Heap::YOUNG_SPACE {
             return None;
         }
-        Some(rec)
+        Some((slot, rec))
     }
 }
 
-/// Accounts a freshly claimed object into the worker's private buffers.
-fn account(shards: &MarkShards<'_>, state: &mut WorkerState, id: ObjectId, rec: &ObjectRecord) {
+/// Accounts a freshly claimed object into the worker's private buffers and
+/// queues its slot if it has refs to expand.
+fn account(
+    shards: &MarkShards<'_>,
+    state: &mut WorkerState,
+    id: ObjectId,
+    slot: u32,
+    rec: &ObjectRecord,
+) {
     bit_set(&mut state.bits, id.index());
     state.live_bytes += u64::from(rec.size());
     state.region_live[rec.addr().region.index()] += rec.size();
@@ -99,6 +108,9 @@ fn account(shards: &MarkShards<'_>, state: &mut WorkerState, id: ObjectId, rec: 
         for p in first..=last {
             bit_set(pages, p as usize);
         }
+    }
+    if !rec.refs().is_empty() {
+        state.local.push(slot);
     }
 }
 
@@ -109,13 +121,13 @@ fn worker_loop(
 ) -> WorkerState {
     let mut since_check = 0usize;
     loop {
-        while let Some(id) = state.local.pop() {
-            let slot = shards.slots[id.index()] as usize;
-            let rec = shards.records[slot].as_ref().expect("claimed record");
+        while let Some(slot) = state.local.pop() {
+            let rec = shards.records[slot as usize]
+                .as_ref()
+                .expect("claimed record");
             for &child in rec.refs() {
-                if let Some(crec) = shards.try_claim(child) {
-                    account(shards, &mut state, child, crec);
-                    state.local.push(child);
+                if let Some((cslot, crec)) = shards.try_claim(child) {
+                    account(shards, &mut state, child, cslot, crec);
                 }
             }
             since_check += 1;
@@ -195,9 +207,8 @@ pub(crate) fn parallel_mark(
                     };
                     // Round-robin root partition; claims dedupe overlaps.
                     for id in roots.iter().skip(w).step_by(workers).copied() {
-                        if let Some(rec) = shards.try_claim(id) {
-                            account(shards, &mut state, id, rec);
-                            state.local.push(id);
+                        if let Some((slot, rec)) = shards.try_claim(id) {
+                            account(shards, &mut state, id, slot, rec);
                         }
                     }
                     worker_loop(shards, shared, state)

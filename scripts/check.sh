@@ -13,6 +13,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q --locked
 
+echo "== mark differential suite at full size (release)"
+# The debug pass above runs its deep-chain case at reduced size.
+cargo test --release --locked -p polm2-heap --test mark_differential
+
 echo "== worker-determinism suites under --verify-heap gc"
 # Verification is observation, not participation: the same bit-identity
 # suites must pass with a full integrity pass after every collection
