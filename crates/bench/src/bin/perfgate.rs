@@ -10,12 +10,12 @@
 //!
 //! **Pipeline gate** — times full GC+snapshot cycles on a churn workload
 //! (a large stable old generation plus a young garbage wave per cycle)
-//! three ways: a seed-equivalent emulation (fresh hash-set trace plus
-//! hash-set no-need walk per snapshot, the pre-slab online path), the
-//! optimized path with snapshot live-set reuse disabled (fresh epoch-mark
-//! trace per snapshot), and the full zero-retrace path. All three runs
-//! drive bit-identical heap trajectories; the produced snapshot sequences
-//! are compared field by field. Medians land in `BENCH_pipeline.json`.
+//! two ways: a seed-equivalent emulation (fresh hash-set trace plus
+//! hash-set no-need walk per snapshot, the pre-slab online path) and the
+//! Dumper's capture path (fresh epoch-mark trace per snapshot, the path
+//! every real profile takes). Both runs drive bit-identical heap
+//! trajectories; the produced snapshot sequences are compared field by
+//! field. Medians land in `BENCH_pipeline.json`.
 //!
 //! **Recorder gate** — replays one deterministic call/return/alloc tape
 //! two ways: a bench-side transcription of the seed stack walk (clone the
@@ -66,7 +66,7 @@
 //! ```
 //!
 //! * `--quick` — fewer timed runs/cycles (CI smoke; equality gates still run).
-//! * `--min-pipeline-speedup <x>` — exit non-zero unless the zero-retrace
+//! * `--min-pipeline-speedup <x>` — exit non-zero unless the fresh-trace
 //!   cycle beats the seed-equivalent cycle by `x` on the largest workload.
 //! * `--min-recorder-speedup <x>` — exit non-zero unless the trie recorder
 //!   beats the stack walk by `x` ns/allocation on the largest workload
@@ -107,7 +107,7 @@ use polm2_runtime::{
     AllocEventBuffer, ClassDef, Instr, Jvm, LoadedProgram, Loader, MethodDef, Program,
     RuntimeConfig, SizeSpec, TraceFrame, TraceNodeId, TraceTrie,
 };
-use polm2_snapshot::{CriuDumper, DumperOptions, HeapDumper, Snapshot, SnapshotSeries};
+use polm2_snapshot::{CriuDumper, HeapDumper, Snapshot, SnapshotSeries};
 
 /// Version of the emitted JSON schema. Bump when fields are added, removed,
 /// or change meaning; the staleness check at the end of `main` fails the
@@ -319,11 +319,8 @@ enum PipelineVariant {
     /// Timed: GC + the seed's snapshot path, emulated (see
     /// [`seed_snapshot_cost`]). The real dumper advances heap state untimed.
     SeedEquivalent,
-    /// Timed: GC + real snapshot with live-set reuse disabled (fresh
-    /// epoch-mark trace per snapshot).
+    /// Timed: GC + real snapshot (fresh epoch-mark trace per snapshot).
     FreshTrace,
-    /// Timed: GC + real snapshot reusing the collector's published live set.
-    Reuse,
 }
 
 /// The seed's object table, mirrored: the pre-slab heap kept every record
@@ -485,10 +482,7 @@ fn run_pipeline(w: &PipelineWorkload, variant: PipelineVariant) -> (Vec<u64>, Ve
     }
 
     let churn_class = heap.classes_mut().intern("Churn");
-    let mut dumper = CriuDumper::with_options(DumperOptions {
-        reuse_live_set: variant == PipelineVariant::Reuse,
-        ..DumperOptions::default()
-    });
+    let mut dumper = CriuDumper::new();
     let mut samples = Vec::with_capacity(w.cycles);
     let mut snaps = Vec::with_capacity(w.cycles);
     let mut sink = 0u64;
@@ -520,15 +514,9 @@ fn run_pipeline(w: &PipelineWorkload, variant: PipelineVariant) -> (Vec<u64>, Ve
                     .expect("snapshot");
                 (gc_time + snap_time, snap)
             }
-            PipelineVariant::FreshTrace | PipelineVariant::Reuse => {
+            PipelineVariant::FreshTrace => {
                 let start = Instant::now();
                 gc.collect(&mut heap, &SafepointRoots::none());
-                if variant == PipelineVariant::Reuse {
-                    assert!(
-                        heap.has_current_published_live(),
-                        "the collector must have published a reusable live set"
-                    );
-                }
                 let snap = dumper
                     .snapshot(&mut heap, SimTime::from_secs(cycle as u64))
                     .expect("snapshot");
@@ -1328,8 +1316,8 @@ fn main() {
     println!();
     println!("perfgate: online GC+snapshot pipeline, median over timed cycles");
     println!(
-        "{:<8} {:>8} {:>7} {:>6} | {:>14} {:>14} {:>14} | {:>8}",
-        "size", "stable", "churn", "cycles", "seed-equiv", "fresh-trace", "reuse", "speedup"
+        "{:<8} {:>8} {:>7} {:>6} | {:>14} {:>14} | {:>8}",
+        "size", "stable", "churn", "cycles", "seed-equiv", "fresh-trace", "speedup"
     );
     let mut pipeline_rows = Vec::new();
     let mut large_pipeline_speedup = 0.0f64;
@@ -1338,13 +1326,12 @@ fn main() {
         let w = PipelineWorkload { cycles, ..*w };
         let (seed_samples, seed_snaps) = run_pipeline(&w, PipelineVariant::SeedEquivalent);
         let (fresh_samples, fresh_snaps) = run_pipeline(&w, PipelineVariant::FreshTrace);
-        let (reuse_samples, reuse_snaps) = run_pipeline(&w, PipelineVariant::Reuse);
 
-        let identical = seed_snaps.len() == reuse_snaps.len()
-            && fresh_snaps.len() == reuse_snaps.len()
-            && reuse_snaps.iter().enumerate().all(|(i, snap)| {
-                snapshots_equal(snap, &seed_snaps[i]) && snapshots_equal(snap, &fresh_snaps[i])
-            });
+        let identical = seed_snaps.len() == fresh_snaps.len()
+            && fresh_snaps
+                .iter()
+                .zip(&seed_snaps)
+                .all(|(fresh, seed)| snapshots_equal(fresh, seed));
         if !identical {
             diverged = true;
             eprintln!(
@@ -1354,21 +1341,13 @@ fn main() {
         }
         let seed_ns = median(seed_samples);
         let fresh_ns = median(fresh_samples);
-        let reuse_ns = median(reuse_samples);
-        let speedup = seed_ns as f64 / reuse_ns.max(1) as f64;
+        let speedup = seed_ns as f64 / fresh_ns.max(1) as f64;
         if w.name == "large" {
             large_pipeline_speedup = speedup;
         }
         println!(
-            "{:<8} {:>8} {:>7} {:>6} | {:>11} ns {:>11} ns {:>11} ns | {:>7.2}x",
-            w.name,
-            w.stable_objects,
-            w.churn_per_cycle,
-            w.cycles,
-            seed_ns,
-            fresh_ns,
-            reuse_ns,
-            speedup
+            "{:<8} {:>8} {:>7} {:>6} | {:>11} ns {:>11} ns | {:>7.2}x",
+            w.name, w.stable_objects, w.churn_per_cycle, w.cycles, seed_ns, fresh_ns, speedup
         );
         pipeline_rows.push(format!(
             concat!(
@@ -1376,9 +1355,7 @@ fn main() {
                 "\"churn_per_cycle\": {}, \"cycles\": {}, ",
                 "\"seed_equivalent_ns_per_cycle\": {}, ",
                 "\"fresh_trace_ns_per_cycle\": {}, ",
-                "\"reuse_ns_per_cycle\": {}, ",
-                "\"speedup_reuse_vs_seed\": {:.2}, ",
-                "\"speedup_reuse_vs_fresh\": {:.2}, ",
+                "\"speedup_fresh_vs_seed\": {:.2}, ",
                 "\"outputs_identical\": {}}}"
             ),
             json_escape(w.name),
@@ -1387,9 +1364,7 @@ fn main() {
             w.cycles,
             seed_ns,
             fresh_ns,
-            reuse_ns,
             speedup,
-            fresh_ns as f64 / reuse_ns.max(1) as f64,
             identical
         ));
     }
@@ -1789,7 +1764,10 @@ fn main() {
                 "analyzer_ns_per_record",
             ][..],
         ),
-        ("BENCH_pipeline.json", &["host_cpus"]),
+        (
+            "BENCH_pipeline.json",
+            &["host_cpus", "speedup_fresh_vs_seed"],
+        ),
         (
             "BENCH_recorder.json",
             &["host_cpus", "real_runtime_outputs_identical"],

@@ -124,15 +124,7 @@ impl G1Collector {
         if let Some(stale) = self.mark.take() {
             heap.retire_live_set(stale.live);
         }
-        // A full cycle leaves the heap's live set exactly the mark's live
-        // set (only unreachable objects were dropped, survivors merely
-        // moved), so hand it to the heap for the profiling Dumper to reuse —
-        // unless stack roots widened the trace beyond the root table.
-        if roots.stack_roots().is_empty() {
-            heap.publish_live(cycle.live);
-        } else {
-            heap.retire_live_set(cycle.live);
-        }
+        heap.retire_live_set(cycle.live);
         let work = young.merged(old);
         // Cycle boundary: let the backend run deferred allocator
         // maintenance (tenured free-list coalescing).

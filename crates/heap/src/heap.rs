@@ -105,7 +105,7 @@ pub(crate) fn bit_get(bits: &[u64], i: usize) -> bool {
 
 /// Rebuilds `order` as the ascending-id enumeration of the set bits — the
 /// canonical [`LiveSet::order`]. Sort-free: one pass over the bitmap with
-/// zero-word skips, so serial and sharded marks publish identical orders.
+/// zero-word skips, so serial and sharded marks return identical orders.
 pub(crate) fn order_from_bits(bits: &[u64], order: &mut Vec<ObjectId>) {
     order.clear();
     for (w, &word) in bits.iter().enumerate() {
@@ -145,22 +145,17 @@ pub struct LiveSet {
     /// Membership bitmap indexed by `ObjectId::index()`.
     bits: Vec<u64>,
     /// Live objects in canonical ascending object-id order. The canonical
-    /// order (rather than discovery order) makes the published set
+    /// order (rather than discovery order) makes the returned set
     /// independent of how the mark was sharded across workers.
     order: Vec<ObjectId>,
     live_bytes: u64,
-    /// Objects traced (== `order.len()`), kept separate for cost accounting.
-    traced_objects: u64,
     /// The mark epoch that produced this set.
     epoch: u32,
-    /// True for whole-heap marks; false for young-only marks, which are
-    /// never valid inputs to snapshot reuse.
+    /// True for whole-heap marks; false for young-only marks, which never
+    /// feed the no-need fast path.
     full: bool,
-    /// Heap mutation counter at the time the set was traced (restamped by
-    /// [`Heap::publish_live`], which asserts the set is still exact).
+    /// Heap mutation counter at the time the set was traced.
     mutation_seq: u64,
-    /// Root-table membership version, same provenance as `mutation_seq`.
-    roots_version: u64,
 }
 
 impl LiveSet {
@@ -205,7 +200,7 @@ impl LiveSet {
     ///
     /// [`len`]: LiveSet::len
     pub fn traced_objects(&self) -> u64 {
-        self.traced_objects
+        self.order.len() as u64
     }
 }
 
@@ -319,19 +314,15 @@ pub struct Heap {
     /// holds object bytes (reachable or not-yet-swept).
     page_object_counts: Vec<u32>,
     /// Live-page bitmap: pages overlapped by an object of the most recent
-    /// whole-heap mark, rebuilt during the trace itself (and by
-    /// [`Heap::refresh_live_accounting`]). Valid for the no-need fast path
-    /// only while `live_pages_epoch`/`live_pages_seq` still match.
+    /// whole-heap mark, rebuilt during the trace itself. Valid for the
+    /// no-need fast path only for the set of epoch `live_pages_epoch`, and
+    /// only while `mutation_seq` has not moved since.
     live_pages: Vec<u64>,
     live_pages_epoch: u32,
-    live_pages_seq: u64,
     /// Bumped by every mutation that can move object bytes or change
     /// reachability: allocate, drop, relocate, region release, add_ref,
     /// remove_ref. Plain field writes only dirty pages and do not count.
     mutation_seq: u64,
-    /// Collector-published LiveSet awaiting reuse by the next snapshot; see
-    /// [`Heap::publish_live`].
-    published: Option<LiveSet>,
     /// Remembered set: young objects referenced from non-young objects
     /// (appended by the `add_ref` write barrier, pruned after each young
     /// collection). Lets minor collections avoid tracing the old spaces.
@@ -432,9 +423,7 @@ impl Heap {
             page_object_counts: vec![0; page_count],
             live_pages: vec![0; page_count.div_ceil(64)],
             live_pages_epoch: 0,
-            live_pages_seq: 0,
             mutation_seq: 0,
-            published: None,
             remembered: Vec::new(),
             remembered_scratch: IdHashSet::default(),
             remembered_churn: RememberedSetChurn::default(),
@@ -832,7 +821,6 @@ impl Heap {
     pub fn mark_live(&mut self, extra_roots: &[ObjectId]) -> LiveSet {
         let live = self.mark(extra_roots, false);
         self.live_pages_epoch = self.mark_epoch;
-        self.live_pages_seq = self.mutation_seq;
         live
     }
 
@@ -851,7 +839,7 @@ impl Heap {
     /// The mark driver behind [`mark_live`](Heap::mark_live) and
     /// [`mark_live_young`](Heap::mark_live_young): traces from the root
     /// table, `extra_roots` and (young-only) the remembered set on the
-    /// serial tracer or the sharded mark, publishes the canonical order,
+    /// serial tracer or the sharded mark, builds the canonical order,
     /// and refreshes the marked regions' live bytes. Only whole-heap marks
     /// rebuild the live-page bitmap; a young-only mark leaves it describing
     /// the last whole-heap mark, since it never feeds the no-need walk.
@@ -914,7 +902,7 @@ impl Heap {
             ctx.trace();
             ctx.live_bytes
         };
-        // Canonicalize the published order (ascending object id) so serial
+        // Canonicalize the returned order (ascending object id) so serial
         // and sharded marks are indistinguishable to every consumer.
         order_from_bits(&bits, &mut order);
 
@@ -931,16 +919,13 @@ impl Heap {
         }
         self.region_live_scratch = region_live;
 
-        let traced = order.len() as u64;
         LiveSet {
             bits,
             order,
             live_bytes,
-            traced_objects: traced,
             epoch: self.mark_epoch,
             full: !young_only,
             mutation_seq: self.mutation_seq,
-            roots_version: self.roots.version(),
         }
     }
 
@@ -965,9 +950,9 @@ impl Heap {
 
     /// Returns a consumed [`LiveSet`]'s buffers to the retained pool so the
     /// next mark can reuse them instead of allocating. Collectors call this
-    /// for young sets once a collection no longer needs them; the heap calls
-    /// it for published sets it discards. Dropping a set instead of retiring
-    /// it is always correct — just slower.
+    /// once a collection no longer needs its set, and the Dumper once a
+    /// capture has consumed its own. Dropping a set instead of retiring it
+    /// is always correct — just slower.
     pub fn retire_live_set(&mut self, live: LiveSet) {
         if self.retired_live_buffers.len() < MAX_RETIRED_LIVE_BUFFERS {
             self.retired_live_buffers.push((live.bits, live.order));
@@ -1437,7 +1422,7 @@ impl Heap {
             && live.mutation_seq == self.mutation_seq
         {
             // Fast path: the heap's live-page bitmap was rebuilt when `live`
-            // was traced (or adopted) and nothing has moved since — a pure
+            // was traced and nothing has moved since — a pure
             // O(pages) sweep, no per-object page-set rebuild.
             let pages = std::mem::take(&mut self.live_pages);
             let marked = self.sweep_no_need(&pages);
@@ -1481,94 +1466,12 @@ impl Heap {
         marked
     }
 
-    // ------------------------------------------------------------------
-    // Snapshot reuse (the zero-retrace contract)
-    // ------------------------------------------------------------------
-
-    /// Publishes a whole-heap [`LiveSet`] for reuse by the next snapshot.
-    ///
-    /// Contract: at call time, `live` must describe *exactly* the objects
-    /// reachable from the root table with no extra roots. Collectors uphold
-    /// this at the end of a full collection — the cycle's mark is still
-    /// exact there, because the collection only dropped unreachable objects
-    /// and relocated live ones, and no mutator ran in between — provided the
-    /// mark itself used no stack roots. Young-only sets are ignored.
-    ///
-    /// The set is handed back by [`take_published_live`] only while no
-    /// mutation has intervened; any allocation, drop, relocation, region
-    /// release, reference edit, or root-table change invalidates it.
-    ///
-    /// [`take_published_live`]: Heap::take_published_live
-    pub fn publish_live(&mut self, mut live: LiveSet) {
-        if !live.full {
-            self.retire_live_set(live);
-            return;
-        }
-        live.mutation_seq = self.mutation_seq;
-        live.roots_version = self.roots.version();
-        if let Some(old) = self.published.replace(live) {
-            self.retire_live_set(old);
-        }
-    }
-
-    /// Takes the published LiveSet if it is still current (see
-    /// [`publish_live`]); a stale set is discarded and `None` returned.
-    ///
-    /// [`publish_live`]: Heap::publish_live
-    pub fn take_published_live(&mut self) -> Option<LiveSet> {
-        if self.has_current_published_live() {
-            self.published.take()
-        } else {
-            if let Some(stale) = self.published.take() {
-                self.retire_live_set(stale);
-            }
-            None
-        }
-    }
-
-    /// True if a published LiveSet is available and still current.
+    /// Always false: the heap holds no published live set; every capture
+    /// traces afresh with [`mark_live`](Heap::mark_live). This method exists
+    /// only for the end-to-end benchmark's `snapshot.reuse_ratio` metric and
+    /// is to be removed together with that metric.
     pub fn has_current_published_live(&self) -> bool {
-        self.published.as_ref().is_some_and(|l| {
-            l.mutation_seq == self.mutation_seq && l.roots_version == self.roots.version()
-        })
-    }
-
-    /// Replays the accounting side effects of a fresh [`mark_live`] from an
-    /// already-current `live` set: refreshes every assigned region's
-    /// `live_bytes` and rebuilds the live-page bitmap in one O(live) pass,
-    /// without re-tracing the graph or touching mark state. The Dumper calls
-    /// this when it reuses a published set, so collectors observe exactly
-    /// the accounting a retrace would have produced.
-    ///
-    /// [`mark_live`]: Heap::mark_live
-    pub fn refresh_live_accounting(&mut self, live: &LiveSet) {
-        debug_assert!(live.full, "only whole-heap sets refresh accounting");
-        // The common reuse flow hands back the set the most recent mark
-        // produced, with no mutation in between: that mark already left
-        // exactly this accounting, so there is nothing to replay.
-        if self.live_pages_epoch == live.epoch() && self.live_pages_seq == live.mutation_seq {
-            return;
-        }
-        let mut region_live = vec![0u32; self.regions.len()];
-        for w in &mut self.live_pages {
-            *w = 0;
-        }
-        for id in live.iter() {
-            if let Some(rec) = slab_get(&self.slots, &self.records, id) {
-                region_live[rec.addr().region.index()] += rec.size();
-                let (first, last) = self.page_table.pages_of(rec.addr(), rec.size());
-                for p in first..=last {
-                    bit_set(&mut self.live_pages, p as usize);
-                }
-            }
-        }
-        for region in &mut self.regions {
-            if region.space().is_some() {
-                region.set_live_bytes(region_live[region.id().index()]);
-            }
-        }
-        self.live_pages_epoch = live.epoch;
-        self.live_pages_seq = live.mutation_seq;
+        false
     }
 
     /// Streams the identity hashes of `live` into `out` as the sorted,
@@ -1584,14 +1487,13 @@ impl Heap {
     /// deduplicated — 32-bit hashes can collide — and widened.
     ///
     /// `live` must be current: every member still allocated, as after a
-    /// fresh [`mark_live`] or a [`take_published_live`].
+    /// fresh [`mark_live`].
     ///
     /// `SnapshotSeries` lives in `polm2-snapshot`; the column contract
     /// (ascending, deduplicated, widened raw hashes) is shared between the
     /// two crates.
     ///
     /// [`mark_live`]: Heap::mark_live
-    /// [`take_published_live`]: Heap::take_published_live
     pub fn live_hash_column(&mut self, live: &LiveSet, out: &mut Vec<u64>) {
         let mut keys = std::mem::take(&mut self.column_keys);
         keys.clear();
@@ -2039,58 +1941,6 @@ mod tests {
     }
 
     #[test]
-    fn published_live_set_round_trip() {
-        let mut h = heap();
-        let a = alloc(&mut h, 64);
-        let slot = h.roots_mut().create_slot("r");
-        h.roots_mut().push(slot, a);
-        let live = h.mark_live(&[]);
-        h.publish_live(live);
-        assert!(h.has_current_published_live());
-        let taken = h.take_published_live().expect("still current");
-        assert!(taken.contains(a));
-        assert!(h.take_published_live().is_none(), "take consumes the set");
-    }
-
-    #[test]
-    fn published_live_set_invalidated_by_heap_mutation() {
-        let mut h = heap();
-        let a = alloc(&mut h, 64);
-        let slot = h.roots_mut().create_slot("r");
-        h.roots_mut().push(slot, a);
-        let live = h.mark_live(&[]);
-        h.publish_live(live);
-        alloc(&mut h, 64); // any allocation invalidates
-        assert!(!h.has_current_published_live());
-        assert!(h.take_published_live().is_none());
-    }
-
-    #[test]
-    fn published_live_set_invalidated_by_root_change() {
-        let mut h = heap();
-        let a = alloc(&mut h, 64);
-        let b = alloc(&mut h, 64);
-        let slot = h.roots_mut().create_slot("r");
-        h.roots_mut().push(slot, a);
-        let live = h.mark_live(&[]);
-        h.publish_live(live);
-        h.roots_mut().push(slot, b); // root change invalidates
-        assert!(h.take_published_live().is_none());
-    }
-
-    #[test]
-    fn young_sets_are_never_published() {
-        let mut h = heap();
-        let a = alloc(&mut h, 64);
-        let slot = h.roots_mut().create_slot("r");
-        h.roots_mut().push(slot, a);
-        let live = h.mark_live_young(&[]);
-        assert!(!live.is_full());
-        h.publish_live(live);
-        assert!(!h.has_current_published_live());
-    }
-
-    #[test]
     fn no_need_fast_path_matches_fallback_recompute() {
         let mut h = heap();
         let keep = alloc(&mut h, 4096);
@@ -2111,23 +1961,6 @@ mod tests {
         assert!(marked_fallback >= 16);
         assert_eq!(marked_fast, 0);
         assert_eq!(flags_fallback, flags_fast);
-    }
-
-    #[test]
-    fn refresh_live_accounting_matches_fresh_mark() {
-        let mut h = heap();
-        let a = alloc(&mut h, 4096);
-        let b = alloc(&mut h, 4096);
-        alloc(&mut h, 4096); // garbage
-        h.add_ref(a, b).unwrap();
-        let slot = h.roots_mut().create_slot("r");
-        h.roots_mut().push(slot, a);
-        let live = h.mark_live(&[]);
-        h.refresh_live_accounting(&live);
-        let after_refresh: Vec<u32> = h.regions().iter().map(|r| r.live_bytes()).collect();
-        let _ = h.mark_live(&[]);
-        let after_mark: Vec<u32> = h.regions().iter().map(|r| r.live_bytes()).collect();
-        assert_eq!(after_refresh, after_mark);
     }
 
     #[test]

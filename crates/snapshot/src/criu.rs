@@ -19,11 +19,6 @@ pub struct DumperOptions {
     pub base_us: u64,
     /// Cost per captured page (copy + write), µs.
     pub us_per_page: u64,
-    /// Reuse the live set the GC just published instead of re-tracing the
-    /// heap, when it is still current (no mutation since the collector's
-    /// mark). The zero-retrace path; disable to force a fresh trace per
-    /// snapshot (ablation benches).
-    pub reuse_live_set: bool,
 }
 
 impl Default for DumperOptions {
@@ -35,7 +30,6 @@ impl Default for DumperOptions {
             use_incremental: true,
             base_us: 3_000,
             us_per_page: 45,
-            reuse_live_set: true,
         }
     }
 }
@@ -87,24 +81,9 @@ impl HeapDumper for CriuDumper {
 
     fn snapshot(&mut self, heap: &mut Heap, now: SimTime) -> Result<Snapshot, SnapshotError> {
         // Content: live-object identity hashes (snapshots run right after a
-        // GC cycle; no mutator stacks are live). The collector usually just
-        // traced the heap to do its sweep — reuse its published live set
-        // when nothing has mutated since, re-tracing only when the heap
-        // moved on (the zero-retrace contract; see DESIGN.md).
-        let reused = if self.options.reuse_live_set {
-            heap.take_published_live()
-        } else {
-            None
-        };
-        let live = match reused {
-            Some(live) => {
-                // Replay the accounting side effects a fresh trace would
-                // have: region live bytes and the live-page bitmap.
-                heap.refresh_live_accounting(&live);
-                live
-            }
-            None => heap.mark_live(&[]),
-        };
+        // GC cycle; no mutator stacks are live), from a fresh whole-heap
+        // mark — the one capture path.
+        let live = heap.mark_live(&[]);
         // Stream the content column straight off the heap: on a real-memory
         // backend the hashes come out of the object headers page by page, the
         // way CRIU reads /proc/pid/mem — no per-snapshot hash set is
@@ -137,9 +116,7 @@ impl HeapDumper for CriuDumper {
             SimDuration::from_micros(self.options.base_us + captured * self.options.us_per_page);
         let snap = Snapshot::from_sorted_column(self.seq, now, column, size_bytes, capture_time);
         self.seq += 1;
-        // Hand the set back: if the heap stays untouched, the next snapshot
-        // (or an immediately following GC-free cycle) reuses it as well.
-        heap.publish_live(live);
+        heap.retire_live_set(live);
         Ok(snap)
     }
 }
