@@ -1,5 +1,5 @@
 //! Criterion benches for the Analyzer's replay path: the full analysis over
-//! the columnar survival table, and the snapshot-index build it reads from.
+//! the survival table, and the table's derivation from the snapshot series.
 //!
 //! `perfgate` (src/bin/perfgate.rs) is the regression gate with JSON output;
 //! these benches are for interactive profiling of the same code paths.
@@ -12,7 +12,7 @@ use polm2_metrics::{SimDuration, SimTime};
 use polm2_runtime::{
     ClassDef, Instr, LoadedProgram, Loader, MethodDef, Program, SizeSpec, TraceFrame,
 };
-use polm2_snapshot::{Snapshot, SnapshotIndex, SnapshotSeries};
+use polm2_snapshot::{Snapshot, SnapshotSeries};
 
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
@@ -107,16 +107,16 @@ fn replay(c: &mut Criterion) {
     });
 }
 
-fn index_build(c: &mut Criterion) {
+fn survival_derivation(c: &mut Criterion) {
     let (_, series, _) = build_inputs();
-    c.bench_function("snapshot_index_build_and_accumulate", |b| {
-        b.iter(|| SnapshotIndex::build(&series).survival_counts().len())
+    c.bench_function("survival_counts_derivation", |b| {
+        b.iter(|| series.survival_counts().len())
     });
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = replay, index_build
+    targets = replay, survival_derivation
 }
 criterion_main!(benches);

@@ -173,7 +173,15 @@ fn grid_loaded() -> LoadedProgram {
 /// Builds a deterministic synthetic profiling run: `records` allocations
 /// spread over a few hundred distinct traces, `snapshots` heap snapshots
 /// with per-trace lifespan bias so survival histograms are non-trivial.
-fn build_inputs(w: &Workload) -> (AllocationRecords, SnapshotSeries, LoadedProgram) {
+/// Also returns each snapshot's hash set, the input the oracle reads.
+fn build_inputs(
+    w: &Workload,
+) -> (
+    AllocationRecords,
+    SnapshotSeries,
+    Vec<IdHashSet<IdentityHash>>,
+    LoadedProgram,
+) {
     let mut rng = 0x5eed_0000_0000_0001u64 ^ (w.records << 8) ^ u64::from(w.snapshots);
     let loaded = grid_loaded();
 
@@ -205,20 +213,24 @@ fn build_inputs(w: &Workload) -> (AllocationRecords, SnapshotSeries, LoadedProgr
             snap.push(hash);
         }
     }
-    let series: SnapshotSeries = live
+    let sets: Vec<IdHashSet<IdentityHash>> = live
         .into_iter()
+        .map(|hashes| hashes.into_iter().collect())
+        .collect();
+    let series: SnapshotSeries = sets
+        .iter()
         .enumerate()
         .map(|(seq, hashes)| {
             Snapshot::new(
                 seq as u32,
                 SimTime::from_secs(seq as u64),
-                hashes.iter().copied().collect(),
+                hashes.clone(),
                 4096,
                 SimDuration::from_millis(1),
             )
         })
         .collect();
-    (records, series, loaded)
+    (records, series, sets, loaded)
 }
 
 fn analyzer_config() -> AnalyzerConfig {
@@ -235,10 +247,13 @@ type TraceStats = (Vec<(u32, u64)>, u32, u64);
 /// The seed replay, transcribed as the analyzer gate's oracle: one hash-map
 /// entry probe per (object, snapshot) membership to count survivals, then
 /// per trace the survival histogram and its weighted median.
-fn hashprobe_oracle(records: &AllocationRecords, series: &SnapshotSeries) -> Vec<TraceStats> {
+fn hashprobe_oracle(
+    records: &AllocationRecords,
+    snapshots: &[IdHashSet<IdentityHash>],
+) -> Vec<TraceStats> {
     let mut survivals: IdHashMap<IdentityHash, u32> = IdHashMap::default();
-    for snapshot in series.snapshots() {
-        for &hash in snapshot.hashes() {
+    for snapshot in snapshots {
+        for &hash in snapshot {
             *survivals.entry(hash).or_insert(0) += 1;
         }
     }
@@ -1260,8 +1275,8 @@ fn main() {
     let mut diverged = false;
     let analyzer = Analyzer::new(analyzer_config());
     for w in WORKLOADS {
-        let (records, series, program) = build_inputs(w);
-        let (oracle_ns, oracle) = measure(w.records, runs, || hashprobe_oracle(&records, &series));
+        let (records, series, sets, program) = build_inputs(w);
+        let (oracle_ns, oracle) = measure(w.records, runs, || hashprobe_oracle(&records, &sets));
         let (analyzer_ns, outcome) = measure(w.records, runs, || {
             analyzer.analyze(&records, &series, &program)
         });
@@ -1303,7 +1318,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"analyzer_replay\",\n  \"schema_version\": {},\n  \"host_cpus\": {},\n  \"units\": \"median ns/record, {} runs; the oracle times the survival replay only, the analyzer the whole analysis\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"analyzer_replay\",\n  \"schema_version\": {},\n  \"host_cpus\": {},\n  \"units\": \"median ns/record, {} runs; the oracle times the survival replay only, the analyzer the whole analysis, survival-table derivation included\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
         SCHEMA_VERSION,
         host_cpus,
         runs,

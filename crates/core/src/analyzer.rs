@@ -1,12 +1,11 @@
 //! The Analyzer: from allocation records + snapshots to an allocation
 //! profile (paper §3.3).
 //!
-//! Per-object survival counts come from the columnar
-//! [`SnapshotIndex`](polm2_snapshot::SnapshotIndex) the series maintains at
-//! capture time: its running accumulator is folded into one sorted
-//! [`SurvivalCounts`] table, so the replay is one directory-indexed lookup
-//! per recorded object instead of one hash probe per (object, snapshot)
-//! membership.
+//! Per-object survival counts come from one sorted [`SurvivalCounts`]
+//! table that [`SnapshotSeries::survival_counts`] derives from the
+//! series' delta-encoded presence intervals, so the replay is one
+//! directory-indexed lookup per recorded object instead of one hash probe
+//! per (object, snapshot) membership.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -137,7 +136,7 @@ fn trace_lifetimes(
     for trace in records.trace_ids() {
         let stream = records.stream(trace);
         for &hash in stream {
-            buckets[survivals.get(u64::from(hash.raw())) as usize] += 1;
+            buckets[survivals.get(hash.raw()) as usize] += 1;
         }
         let objects = stream.len() as u64;
         let typical_survivals = {
@@ -220,10 +219,9 @@ impl Analyzer {
         snapshots: &SnapshotSeries,
         program: &LoadedProgram,
     ) -> AnalysisOutcome {
-        // Step 1: survivals per object hash. The series maintains its
-        // columnar index at capture time; the replay only pays for the
-        // weighted-event fold.
-        let survivals = snapshots.index().survival_counts();
+        // Step 1: survivals per object hash, derived from the series'
+        // presence intervals in one pass.
+        let survivals = snapshots.survival_counts();
 
         // Step 2: per-trace histograms, medians, and generation classes.
         // Location strings are resolved once per interned frame symbol;

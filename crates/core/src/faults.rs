@@ -427,7 +427,14 @@ impl HeapDumper for FaultyDumper {
         let keep_rate = 1.0 - inj.config.truncated_fraction;
         let mut kept: IdHashSet<IdentityHash> = IdHashSet::default();
         let mut lost = 0u64;
-        for &hash in snap.hashes() {
+        // Roll in hash-set order, not column order: chaos profiles pin the
+        // sequence of keep/drop rolls.
+        let captured: IdHashSet<IdentityHash> = snap
+            .sorted_hashes()
+            .iter()
+            .map(|&raw| IdentityHash::from_raw(raw))
+            .collect();
+        for &hash in &captured {
             if inj.roll(keep_rate) {
                 kept.insert(hash);
             } else {

@@ -27,11 +27,10 @@
 //! [`AllocationRecords::record_traced`] rebuilds byte-identical streams.
 //!
 //! Snapshots are journaled as *delta columns* — the sorted added/removed
-//! hash sets each [`SnapshotSeries`] push already computed for its columnar
-//! index (closing the ROADMAP item: serialization streams out of push order,
-//! never re-diffing, never re-materializing a full column). Replay folds the
-//! deltas back together, so the reconstructed series is value-identical to
-//! the captured one.
+//! hash sets each [`SnapshotSeries`] push stores: serialization streams
+//! them out in push order, never re-diffing, never re-materializing a full
+//! column. Replay folds the deltas back together, so the reconstructed
+//! series is value-identical to the captured one.
 //!
 //! The commit frame records the totals the session saw at shutdown; replay
 //! cross-checks them, so a journal that replays cleanly *and* matches its
@@ -46,11 +45,11 @@
 //! continues unharmed. A dead journal simply has no commit record, which
 //! resume treats like any crash.
 
-use polm2_heap::{IdHashSet, IdentityHash};
+use polm2_heap::IdentityHash;
 use polm2_metrics::{FaultCounters, SimDuration, SimTime};
 use polm2_runtime::TraceFrame;
 use polm2_snapshot::journal::{put_str, put_u16, put_u32, put_u64, WireReader};
-use polm2_snapshot::{Frame, JournalError, JournalWriter, Snapshot, SnapshotSeries};
+use polm2_snapshot::{Frame, JournalError, JournalWriter, Snapshot, SnapshotDelta, SnapshotSeries};
 
 use crate::recorder::{AllocationRecords, TraceId};
 
@@ -184,20 +183,19 @@ fn decode_trace_def(payload: &[u8]) -> Result<(u32, Vec<TraceFrame>), JournalErr
     Ok((id, frames))
 }
 
-fn encode_snapshot(snap: &Snapshot, added: &[u64], removed: &[u64]) -> Vec<u8> {
+fn encode_snapshot(snap: &SnapshotDelta) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32(&mut out, snap.seq);
     put_u64(&mut out, snap.at.as_micros());
     put_u64(&mut out, snap.size_bytes);
     put_u64(&mut out, snap.capture_time.as_micros());
-    put_u32(&mut out, added.len() as u32);
-    put_u32(&mut out, removed.len() as u32);
-    // Identity hashes are 32-bit values; the columns store them widened.
-    for &h in added {
-        put_u32(&mut out, h as u32);
+    put_u32(&mut out, snap.added().len() as u32);
+    put_u32(&mut out, snap.removed().len() as u32);
+    for &h in snap.added() {
+        put_u32(&mut out, h);
     }
-    for &h in removed {
-        put_u32(&mut out, h as u32);
+    for h in snap.removed() {
+        put_u32(&mut out, h);
     }
     out
 }
@@ -433,10 +431,9 @@ impl SessionJournal {
     }
 
     /// Journals every snapshot `series` holds beyond the journal's cursor,
-    /// as delta frames streamed straight from the index's push-time diffs.
-    /// Called right after each push, so "beyond the cursor" is normally
-    /// exactly one snapshot — but the catch-up loop keeps the journal right
-    /// even if a caller batches pushes.
+    /// one frame each, encoded from the delta the series stored at push
+    /// time. Called right after each push, so "beyond the cursor" is
+    /// normally exactly one snapshot; batched pushes write the same frames.
     pub fn sync_snapshots(
         &mut self,
         series: &SnapshotSeries,
@@ -446,32 +443,8 @@ impl SessionJournal {
         if self.dead {
             return;
         }
-        while self.snapshot_cursor < series.len() {
-            let i = self.snapshot_cursor;
-            let snap = &series.snapshots()[i];
-            // The common case: the snapshot just pushed, and its delta is
-            // sitting in the index — no re-diff. A series whose index has
-            // fewer columns than snapshots (possible only through a foreign
-            // constructor) falls through to the catch-up re-diff below
-            // rather than asserting the invariant.
-            let fresh_delta = if i + 1 == series.len() && series.index().len() == series.len() {
-                series.index().last_delta()
-            } else {
-                None
-            };
-            let payload = if let Some((added, removed)) = fresh_delta {
-                encode_snapshot(snap, added, removed)
-            } else {
-                // Catch-up: re-derive the delta for an older snapshot.
-                let prev: &[u64] = if i == 0 {
-                    &[]
-                } else {
-                    series.snapshots()[i - 1].sorted_hashes()
-                };
-                let (added, removed) = diff_sorted(prev, snap.sorted_hashes());
-                encode_snapshot(snap, &added, &removed)
-            };
-            let _ = self.append_retrying(KIND_SNAPSHOT, &payload, counters, charge);
+        for snap in series.snapshots().iter().skip(self.snapshot_cursor) {
+            let _ = self.append_retrying(KIND_SNAPSHOT, &encode_snapshot(snap), counters, charge);
             if self.dead {
                 return;
             }
@@ -502,33 +475,6 @@ impl SessionJournal {
         };
         let _ = self.append_retrying(KIND_COMMIT, &summary.encode(), counters, charge);
     }
-}
-
-/// `(added, removed)` between two sorted columns (catch-up path only; the
-/// steady state reads the index's push-time delta).
-fn diff_sorted(prev: &[u64], cur: &[u64]) -> (Vec<u64>, Vec<u64>) {
-    let mut added = Vec::new();
-    let mut removed = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < prev.len() && j < cur.len() {
-        match prev[i].cmp(&cur[j]) {
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => {
-                removed.push(prev[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                added.push(cur[j]);
-                j += 1;
-            }
-        }
-    }
-    removed.extend_from_slice(&prev[i..]);
-    added.extend_from_slice(&cur[j..]);
-    (added, removed)
 }
 
 /// A journal replayed back into session state.
@@ -578,7 +524,7 @@ pub fn replay(frames: &[Frame]) -> Result<ReplayedSession, JournalError> {
     let mut records = AllocationRecords::default();
     let mut snapshots = SnapshotSeries::new();
     let mut commit: Option<CommitSummary> = None;
-    let mut prev_column: Vec<u64> = Vec::new();
+    let mut prev_column: Vec<u32> = Vec::new();
 
     for (i, frame) in frames.iter().enumerate() {
         let at = i as u64;
@@ -664,20 +610,18 @@ pub fn replay(frames: &[Frame]) -> Result<ReplayedSession, JournalError> {
                 let n_removed = r.u32()? as usize;
                 let mut added = Vec::with_capacity(n_added);
                 for _ in 0..n_added {
-                    added.push(u64::from(r.u32()?));
+                    added.push(r.u32()?);
                 }
                 let mut removed = Vec::with_capacity(n_removed);
                 for _ in 0..n_removed {
-                    removed.push(u64::from(r.u32()?));
+                    removed.push(r.u32()?);
                 }
                 r.expect_exhausted()?;
                 let column = apply_delta(at, &prev_column, &added, &removed)?;
-                let hashes: IdHashSet<IdentityHash> = column
-                    .iter()
-                    .map(|&h| IdentityHash::from_raw(h as u32))
-                    .collect();
-                snapshots.push(Snapshot::new(seq, at_time, hashes, size_bytes, capture));
-                prev_column = column;
+                prev_column.clone_from(&column);
+                snapshots.push(Snapshot::from_sorted_column(
+                    seq, at_time, column, size_bytes, capture,
+                ));
             }
             KIND_COMMIT => {
                 let summary = CommitSummary::decode(&frame.payload)?;
@@ -717,10 +661,10 @@ pub fn replay(frames: &[Frame]) -> Result<ReplayedSession, JournalError> {
 /// removed hash must be present, no added hash may already be present.
 fn apply_delta(
     frame: u64,
-    prev: &[u64],
-    added: &[u64],
-    removed: &[u64],
-) -> Result<Vec<u64>, JournalError> {
+    prev: &[u32],
+    added: &[u32],
+    removed: &[u32],
+) -> Result<Vec<u32>, JournalError> {
     if !is_sorted_unique(added) || !is_sorted_unique(removed) {
         return Err(replay_err(frame, "snapshot delta columns not sorted"));
     }
@@ -748,7 +692,7 @@ fn apply_delta(
     Ok(out)
 }
 
-fn is_sorted_unique(v: &[u64]) -> bool {
+fn is_sorted_unique(v: &[u32]) -> bool {
     v.windows(2).all(|w| w[0] < w[1])
 }
 
@@ -854,11 +798,12 @@ mod tests {
             assert_eq!(x.size_bytes, y.size_bytes);
             assert_eq!(x.capture_time, y.capture_time);
             assert_eq!(x.live_objects, y.live_objects);
-            assert_eq!(x.sorted_hashes(), y.sorted_hashes());
+            assert_eq!(x.added(), y.added());
+            assert!(x.removed().eq(y.removed()));
         }
         assert_eq!(
-            a.index().survival_counts(),
-            b.index().survival_counts(),
+            a.survival_counts(),
+            b.survival_counts(),
             "replayed index must produce identical counts"
         );
     }
@@ -872,6 +817,50 @@ mod tests {
         assert_series_equal(&series, &replayed.snapshots);
         let commit = replayed.commit.unwrap();
         assert_eq!(commit.total_records, records.total_records());
+    }
+
+    /// Every file of a journal directory, in name order.
+    fn journal_bytes(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn batched_pushes_journal_the_same_bytes_as_per_push_syncs() {
+        let columns: [&[u64]; 4] = [&[1, 2, 3], &[2, 3, 4], &[], &[4, 5]];
+        let mut journals = Vec::new();
+        for (tag, batch) in [("per-push", 1usize), ("batched", 2)] {
+            let dir = tempdir(tag);
+            let writer = JournalWriter::create_clean(Box::new(FsMedia), &dir, 1 << 20).unwrap();
+            let mut j =
+                SessionJournal::create(writer, &meta(), JournalRetryPolicy::default(), &mut |_| {})
+                    .unwrap();
+            let mut series = SnapshotSeries::new();
+            let mut counters = FaultCounters::new();
+            for (seq, ids) in columns.iter().enumerate() {
+                series.push(snap(seq as u32, ids));
+                if (seq + 1) % batch == 0 {
+                    j.sync_snapshots(&series, &mut counters, &mut |_| {});
+                }
+            }
+            j.commit(
+                &AllocationRecords::default(),
+                &series,
+                &mut counters,
+                &mut |_| {},
+            );
+            assert!(j.is_committed());
+            journals.push(journal_bytes(&dir));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        assert_eq!(journals[0], journals[1]);
     }
 
     #[test]

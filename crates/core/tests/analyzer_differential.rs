@@ -2,7 +2,8 @@
 //! per-trace statistics it derives from the columnar survival table —
 //! `histogram`, `typical_survivals` and `objects` of every trace, in trace-id
 //! order — must equal a plain hash-map fold over the same records and
-//! snapshots (one probe per object, counting its snapshot appearances).
+//! snapshots (one probe per object, counting its snapshot appearances). The
+//! fold reads the snapshots' input hash sets, never the series under test.
 //! Checked on seeded random workloads, on degenerate inputs, and on whole
 //! profiling sessions under seeded fault injection.
 //!
@@ -11,7 +12,7 @@
 //! (program shape, trace depths, object counts, lifespans), and the property
 //! is checked across a spread of seeds.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
 
 use polm2_core::journal::{replay, KIND_COMMIT};
@@ -37,9 +38,44 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
+/// Each snapshot's content as a hash set: the fold's input.
+type Columns = Vec<HashSet<IdentityHash>>;
+
+/// A series of snapshots holding `columns`, in order.
+fn series_of(columns: &Columns) -> SnapshotSeries {
+    columns
+        .iter()
+        .enumerate()
+        .map(|(seq, hashes)| {
+            Snapshot::new(
+                seq as u32,
+                SimTime::from_secs(seq as u64),
+                hashes.iter().copied().collect(),
+                4096,
+                SimDuration::from_millis(1),
+            )
+        })
+        .collect()
+}
+
+/// Rebuilds each snapshot's content from a series' deltas (for a series
+/// that only exists as a replayed journal).
+fn columns_of(series: &SnapshotSeries) -> Columns {
+    let mut column = HashSet::new();
+    let mut out = Vec::new();
+    for delta in series.snapshots() {
+        for raw in delta.removed() {
+            column.remove(&IdentityHash::from_raw(raw));
+        }
+        column.extend(delta.added().iter().map(|&raw| IdentityHash::from_raw(raw)));
+        out.push(column.clone());
+    }
+    out
+}
+
 /// One seeded random workload: a loaded program plus records and snapshots
 /// generated directly (no JVM run needed — the Analyzer only sees these).
-fn random_workload(seed: u64) -> (AllocationRecords, SnapshotSeries, LoadedProgram) {
+fn random_workload(seed: u64) -> (AllocationRecords, SnapshotSeries, Columns, LoadedProgram) {
     let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
     let classes = 3 + (xorshift(&mut rng) % 4) as usize;
     let methods = 2 + (xorshift(&mut rng) % 4) as usize;
@@ -87,20 +123,11 @@ fn random_workload(seed: u64) -> (AllocationRecords, SnapshotSeries, LoadedProgr
             }
         }
     }
-    let series: SnapshotSeries = live
+    let columns: Columns = live
         .into_iter()
-        .enumerate()
-        .map(|(seq, hashes)| {
-            Snapshot::new(
-                seq as u32,
-                SimTime::from_secs(seq as u64),
-                hashes.iter().copied().collect(),
-                4096,
-                SimDuration::from_millis(1),
-            )
-        })
+        .map(|hashes| hashes.into_iter().collect())
         .collect();
-    (records, series, loaded)
+    (records, series_of(&columns), columns, loaded)
 }
 
 /// One trace's replayed statistics: histogram, typical survivals, objects.
@@ -109,10 +136,10 @@ type TraceStats = (BTreeMap<u32, u64>, u32, u64);
 /// The oracle: survivals per hash by a hash-map fold over every snapshot,
 /// then per trace the survival histogram and its weighted median (the
 /// smallest bucket at which half the objects, rounded up, are covered).
-fn hashmap_fold(records: &AllocationRecords, series: &SnapshotSeries) -> Vec<TraceStats> {
+fn hashmap_fold(records: &AllocationRecords, snapshots: &Columns) -> Vec<TraceStats> {
     let mut survivals: HashMap<IdentityHash, u32> = HashMap::new();
-    for snapshot in series.snapshots() {
-        for &hash in snapshot.hashes() {
+    for snapshot in snapshots {
+        for &hash in snapshot {
             *survivals.entry(hash).or_insert(0) += 1;
         }
     }
@@ -165,13 +192,14 @@ fn analyze(
 fn assert_matches_fold(
     records: &AllocationRecords,
     series: &SnapshotSeries,
+    columns: &Columns,
     program: &LoadedProgram,
     what: &str,
 ) {
     let outcome = analyze(records, series, program);
     assert_eq!(
         replayed(&outcome),
-        hashmap_fold(records, series),
+        hashmap_fold(records, columns),
         "{what}: survival replay diverged from the hash-map fold"
     );
 }
@@ -179,7 +207,7 @@ fn assert_matches_fold(
 #[test]
 fn seeded_random_workloads_match_the_hashmap_fold() {
     for seed in [1u64, 7, 42, 1234, 0xdead_beef] {
-        let (records, series, program) = random_workload(seed);
+        let (records, series, columns, program) = random_workload(seed);
         let outcome = analyze(&records, &series, &program);
         assert!(
             !outcome.lifetimes.traces().is_empty(),
@@ -193,37 +221,55 @@ fn seeded_random_workloads_match_the_hashmap_fold() {
                 .any(|t| t.histogram.len() > 1),
             "seed {seed}: no multi-bucket histogram"
         );
-        assert_matches_fold(&records, &series, &program, &format!("seed {seed}"));
+        assert_matches_fold(
+            &records,
+            &series,
+            &columns,
+            &program,
+            &format!("seed {seed}"),
+        );
     }
 }
 
 #[test]
 fn degenerate_inputs_match_the_hashmap_fold() {
-    let (records, series, program) = random_workload(3);
+    let (records, series, columns, program) = random_workload(3);
     // Empty snapshot series: every object survives zero snapshots.
-    assert_matches_fold(&records, &SnapshotSeries::new(), &program, "no snapshots");
+    let empty = Columns::new();
+    assert_matches_fold(
+        &records,
+        &series_of(&empty),
+        &empty,
+        &program,
+        "no snapshots",
+    );
     // A single snapshot.
-    let first: SnapshotSeries = series.snapshots().iter().take(1).cloned().collect();
-    assert_matches_fold(&records, &first, &program, "one snapshot");
+    let first = columns[..1].to_vec();
+    assert_matches_fold(
+        &records,
+        &series_of(&first),
+        &first,
+        &program,
+        "one snapshot",
+    );
     // Snapshots holding hashes no record carries.
-    let strangers: SnapshotSeries = (0..3)
-        .map(|seq| {
-            let hashes = (1u64 << 40..(1u64 << 40) + 64)
+    let strangers: Columns = (0..3)
+        .map(|_| {
+            (1u64 << 40..(1u64 << 40) + 64)
                 .map(|i| IdentityHash::of(ObjectId::new(i)))
-                .collect();
-            Snapshot::new(
-                seq,
-                SimTime::from_secs(u64::from(seq)),
-                hashes,
-                4096,
-                SimDuration::from_millis(1),
-            )
+                .collect()
         })
         .collect();
-    assert_matches_fold(&records, &strangers, &program, "foreign hashes");
+    assert_matches_fold(
+        &records,
+        &series_of(&strangers),
+        &strangers,
+        &program,
+        "foreign hashes",
+    );
     // Empty records.
     let none = AllocationRecords::default();
-    assert_matches_fold(&none, &series, &program, "no records");
+    assert_matches_fold(&none, &series, &columns, &program, "no records");
     assert!(analyze(&none, &series, &program).profile.is_empty());
 }
 
@@ -328,7 +374,7 @@ fn chaos_session_matches_the_fold(fault_seed: u64) {
     assert!(session.committed());
     assert_eq!(
         replayed(&report.outcome),
-        hashmap_fold(&session.records, &session.snapshots),
+        hashmap_fold(&session.records, &columns_of(&session.snapshots)),
         "fault seed {fault_seed}: survival replay diverged from the hash-map fold"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -46,8 +46,8 @@ fn churn(heap: &mut Heap, gc: &mut dyn Collector, objects: u32) -> Vec<ObjectId>
 }
 
 /// The expected capture content: identity hashes of every object reachable
-/// from the root table (BFS over `refs`), widened, sorted and deduplicated.
-fn reachable_hashes(heap: &Heap) -> Vec<u64> {
+/// from the root table (BFS over `refs`), sorted and deduplicated.
+fn reachable_hashes(heap: &Heap) -> Vec<u32> {
     let mut seen: HashSet<ObjectId> = HashSet::new();
     let mut queue: VecDeque<ObjectId> = heap.roots().iter().collect();
     let mut hashes = Vec::new();
@@ -56,7 +56,7 @@ fn reachable_hashes(heap: &Heap) -> Vec<u64> {
             continue;
         }
         let rec = heap.object(id).expect("reachable object is allocated");
-        hashes.push(u64::from(rec.identity_hash().raw()));
+        hashes.push(rec.identity_hash().raw());
         queue.extend(rec.refs().iter().copied());
     }
     hashes.sort_unstable();

@@ -199,7 +199,13 @@ impl RefInjector {
         self.injected.snapshots_truncated += 1;
         let keep_rate = 1.0 - self.config.truncated_fraction;
         let mut kept: IdHashSet<IdentityHash> = IdHashSet::default();
-        for &hash in snap.hashes() {
+        // The production injector's roll order: hash-set order.
+        let captured: IdHashSet<IdentityHash> = snap
+            .sorted_hashes()
+            .iter()
+            .map(|&raw| IdentityHash::from_raw(raw))
+            .collect();
+        for &hash in &captured {
             if self.roll(keep_rate) {
                 kept.insert(hash);
             } else {

@@ -351,9 +351,8 @@ pub struct Heap {
     region_live_scratch: Vec<u32>,
     /// Retained serial-mark work stack (record slots); empty between marks.
     mark_stack: Vec<u32>,
-    /// Retained hash-column keys and radix-sort ping-pong buffer (see
+    /// Retained radix-sort ping-pong buffer (see
     /// [`Heap::live_hash_column`]).
-    column_keys: Vec<u32>,
     column_scratch: Vec<u32>,
     /// Bounded pool of retired `(bits, order)` buffers from consumed
     /// [`LiveSet`]s, reused by later marks (see [`Heap::retire_live_set`]).
@@ -434,7 +433,6 @@ impl Heap {
             mark_stamps: Vec::new(),
             region_live_scratch: Vec::new(),
             mark_stack: Vec::new(),
-            column_keys: Vec::new(),
             column_scratch: Vec::new(),
             retired_live_buffers: Vec::new(),
             verify_passes: 0,
@@ -1475,7 +1473,7 @@ impl Heap {
     }
 
     /// Streams the identity hashes of `live` into `out` as the sorted,
-    /// duplicate-free u64 column a [`SnapshotSeries`] ingests. This is the
+    /// duplicate-free u32 column a [`SnapshotSeries`] ingests. This is the
     /// Dumper's capture path: no per-snapshot hash set is ever materialized.
     ///
     /// The sim backend has no memory, and its headers are
@@ -1483,23 +1481,22 @@ impl Heap {
     /// from `live`'s ids without touching the object table. A real-memory
     /// backend reads each hash back out of the object header (falling back
     /// to the object table for objects too small to hold one). The keys are
-    /// radix sorted in buffers the heap retains across captures, then
-    /// deduplicated — 32-bit hashes can collide — and widened.
+    /// radix sorted in place, with a scratch buffer the heap retains across
+    /// captures, then deduplicated — 32-bit hashes can collide.
     ///
     /// `live` must be current: every member still allocated, as after a
     /// fresh [`mark_live`].
     ///
     /// `SnapshotSeries` lives in `polm2-snapshot`; the column contract
-    /// (ascending, deduplicated, widened raw hashes) is shared between the
-    /// two crates.
+    /// (ascending, deduplicated raw hashes) is shared between the two
+    /// crates.
     ///
     /// [`mark_live`]: Heap::mark_live
-    pub fn live_hash_column(&mut self, live: &LiveSet, out: &mut Vec<u64>) {
-        let mut keys = std::mem::take(&mut self.column_keys);
-        keys.clear();
-        keys.reserve_exact(live.len());
+    pub fn live_hash_column(&mut self, live: &LiveSet, out: &mut Vec<u32>) {
+        out.clear();
+        out.reserve_exact(live.len());
         if self.backend.kind() == BackendKind::Sim {
-            keys.extend(live.iter().map(|id| {
+            out.extend(live.iter().map(|id| {
                 let hash = IdentityHash::of(id);
                 debug_assert_eq!(
                     slab_get(&self.slots, &self.records, id).map(ObjectRecord::identity_hash),
@@ -1520,15 +1517,12 @@ impl Heap {
                         rec.identity_hash(),
                         "backend object header drifted from the object table"
                     );
-                    keys.push(hash.raw());
+                    out.push(hash.raw());
                 }
             }
         }
-        radix::sort_u32(&mut keys, &mut self.column_scratch);
-        keys.dedup();
-        out.clear();
-        out.extend(keys.iter().map(|&k| u64::from(k)));
-        self.column_keys = keys;
+        radix::sort_u32(out, &mut self.column_scratch);
+        out.dedup();
     }
 
     /// Verifies internal invariants; used by tests and debug assertions.
@@ -1562,20 +1556,19 @@ impl Heap {
             live + self.free_slots.len(),
             "record slab leaked slots"
         );
-        // Every object's region must belong to the object's space and list it.
+        // Every object's region must belong to the object's space and list
+        // it (stale entries — dead or moved-away ids — are permitted).
         for rec in self.records.iter().flatten() {
-            let id = rec.id();
             let region = &self.regions[rec.addr().region.index()];
             assert_eq!(
                 region.space(),
                 Some(rec.space()),
-                "object {id} resides in a region owned by a different space"
+                "object {} resides in a region owned by a different space",
+                rec.id()
             );
-            assert!(
-                region.objects().contains(&id),
-                "object {id} missing from its region's object list"
-            );
-            // (Stale entries — dead or moved-away ids — are permitted.)
+        }
+        if let Some(id) = self.unlisted_record() {
+            panic!("object {id} missing from its region's object list");
         }
         // Incremental page-occupancy counters must equal a from-scratch
         // recomputation over the record slab.

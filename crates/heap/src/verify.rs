@@ -48,7 +48,7 @@
 use crate::backend::{BackendKind, OBJECT_HEADER_BYTES};
 use crate::{Addr, HeapError, ObjectId, RegionId};
 
-use super::{Heap, DEAD_SLOT};
+use super::{bit_get, bit_set, Heap, DEAD_SLOT};
 
 /// The memory-corruption classes the chaos arm can plant (real backend
 /// only; the sim backend has no memory to corrupt).
@@ -116,6 +116,39 @@ fn violation(invariant: &'static str, detail: String) -> HeapError {
 }
 
 impl Heap {
+    /// The first live record (in slab order) whose region's object list
+    /// does not list it, or `None`. One walk over every region's list sets
+    /// a bit for each entry that resolves to a live record residing in that
+    /// region; a record is listed iff its bit is set. Lists legitimately
+    /// keep stale entries — dead objects after [`Heap::drop_object`], moved
+    /// ones after evacuation — which resolve to nothing or to a record in
+    /// another region and set no bit, so list lengths need not add up to
+    /// the live-record count. O(list entries + records), where probing each
+    /// record's list was O(records × region population).
+    pub(crate) fn unlisted_record(&self) -> Option<ObjectId> {
+        let mut listed = vec![0u64; self.records.len().div_ceil(64)];
+        for region in &self.regions {
+            for &id in region.objects() {
+                let Some(&slot) = self.slots.get(id.index()) else {
+                    continue;
+                };
+                if slot == DEAD_SLOT {
+                    continue;
+                }
+                if let Some(rec) = &self.records[slot as usize] {
+                    if rec.id() == id && rec.addr().region == region.id() {
+                        bit_set(&mut listed, slot as usize);
+                    }
+                }
+            }
+        }
+        self.records
+            .iter()
+            .enumerate()
+            .find_map(|(slot, rec)| rec.as_ref().filter(|_| !bit_get(&listed, slot)))
+            .map(|rec| rec.id())
+    }
+
     /// Completed integrity-verifier passes (clean or not). Surfaced through
     /// the metrics fault counters so ledgers can prove verification ran.
     pub fn verify_passes(&self) -> u64 {
@@ -189,12 +222,6 @@ impl Heap {
                     format!("object {id} resides in a region owned by a different space"),
                 ));
             }
-            if !region.objects().contains(&id) {
-                return Err(violation(
-                    "region-membership",
-                    format!("object {id} missing from its region's object list"),
-                ));
-            }
             let end = u64::from(rec.addr().offset) + u64::from(rec.size());
             if end > u64::from(region.used_bytes()) || end > region_bytes {
                 return Err(violation(
@@ -202,6 +229,12 @@ impl Heap {
                     format!("object {id} extends past its region's bump cursor"),
                 ));
             }
+        }
+        if let Some(id) = self.unlisted_record() {
+            return Err(violation(
+                "region-membership",
+                format!("object {id} missing from its region's object list"),
+            ));
         }
         let mut counts = vec![0u32; self.page_object_counts.len()];
         for rec in self.records.iter().flatten() {
@@ -443,5 +476,98 @@ impl Heap {
                 })
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::evac::EvacDecision;
+    use crate::{GenId, Heap, HeapConfig, HeapError, ObjectId, SiteId};
+
+    /// A heap of `n` rooted young objects.
+    fn populated(n: usize) -> (Heap, Vec<ObjectId>) {
+        let mut heap = Heap::new(HeapConfig::small());
+        let class = heap.classes_mut().intern("T");
+        let slot = heap.roots_mut().create_slot("keep");
+        let ids: Vec<ObjectId> = (0..n)
+            .map(|_| {
+                let id = heap
+                    .allocate(class, 48, SiteId::new(0), Heap::YOUNG_SPACE)
+                    .unwrap();
+                heap.roots_mut().push(slot, id);
+                id
+            })
+            .collect();
+        (heap, ids)
+    }
+
+    fn unlist(heap: &mut Heap, id: ObjectId) {
+        let region = heap.object(id).unwrap().addr().region;
+        heap.regions[region.index()].retain_objects(|o| o != id);
+    }
+
+    fn invariant(result: Result<(), HeapError>) -> Option<&'static str> {
+        match result {
+            Ok(()) => None,
+            Err(HeapError::IntegrityViolation { invariant, .. }) => Some(invariant),
+            Err(e) => panic!("unexpected error {e}"),
+        }
+    }
+
+    #[test]
+    fn an_object_missing_from_its_region_list_is_reported() {
+        let (mut heap, ids) = populated(40);
+        assert_eq!(invariant(heap.verify_integrity()), None);
+        unlist(&mut heap, ids[17]);
+        assert_eq!(heap.unlisted_record(), Some(ids[17]));
+        assert_eq!(
+            invariant(heap.verify_integrity()),
+            Some("region-membership")
+        );
+    }
+
+    #[test]
+    fn stale_entries_left_by_drop_object_are_not_reported() {
+        let (mut heap, ids) = populated(40);
+        for &id in ids.iter().step_by(3) {
+            heap.drop_object(id).unwrap();
+        }
+        let listed: usize = heap.regions.iter().map(|r| r.objects().len()).sum();
+        assert!(listed > heap.live_records, "drops leave stale entries");
+        assert_eq!(invariant(heap.verify_integrity()), None);
+    }
+
+    #[test]
+    fn stale_entries_left_by_evacuation_are_not_reported() {
+        let (mut heap, ids) = populated(40);
+        let old = heap.create_space(GenId::new(1), None);
+        heap.begin_evacuation(Heap::YOUNG_SPACE).unwrap();
+        let ops: Vec<(ObjectId, EvacDecision)> = ids
+            .iter()
+            .map(|&id| {
+                let op = EvacDecision::Move {
+                    dest: old,
+                    bump_age: false,
+                };
+                (id, op)
+            })
+            .collect();
+        heap.evacuate_batch(&ops).unwrap();
+        // Mid-evacuation, the detached source regions still list every
+        // moved object: a stale entry naming a live record in another
+        // region.
+        let moved = ids[5];
+        let now_in = heap.object(moved).unwrap().addr().region;
+        assert!(heap
+            .regions
+            .iter()
+            .any(|r| r.id() != now_in && r.objects().contains(&moved)));
+        assert_eq!(invariant(heap.verify_integrity()), None);
+        // Such an entry does not stand in for the record's own region.
+        unlist(&mut heap, moved);
+        assert_eq!(
+            invariant(heap.verify_integrity()),
+            Some("region-membership")
+        );
     }
 }

@@ -514,11 +514,11 @@ proptest! {
 /// The column as the Dumper computed it before the radix sort: a slab walk
 /// over `live`, each record's `identity_hash()`, then `sort_unstable` and
 /// `dedup`.
-fn reference_column(heap: &Heap, live: &LiveSet) -> Vec<u64> {
-    let mut want: Vec<u64> = live
+fn reference_column(heap: &Heap, live: &LiveSet) -> Vec<u32> {
+    let mut want: Vec<u32> = live
         .iter()
         .filter_map(|id| heap.object(id))
-        .map(|rec| u64::from(rec.identity_hash().raw()))
+        .map(|rec| rec.identity_hash().raw())
         .collect();
     want.sort_unstable();
     want.dedup();
@@ -562,7 +562,7 @@ proptest! {
             }
             let live = heap.mark_live(&[]);
             let want = reference_column(&heap, &live);
-            let mut got = vec![7u64; 3];
+            let mut got = vec![7u32; 3];
             heap.live_hash_column(&live, &mut got);
             prop_assert_eq!(&got, &want, "{} column", backend);
             // Retained buffers: a second capture of the same set agrees.

@@ -45,13 +45,13 @@ pub mod journal;
 mod record;
 
 pub use criu::{CriuDumper, DumperOptions};
-pub use index::{SnapshotIndex, SurvivalCounts};
+pub use index::SurvivalCounts;
 pub use jmap::JmapDumper;
 pub use journal::{
     crc32, Frame, FsMedia, FsckReport, JournalError, JournalMedia, JournalWriter, RecoveredJournal,
     SegmentDefect,
 };
-pub use record::{Snapshot, SnapshotSeries};
+pub use record::{Snapshot, SnapshotDelta, SnapshotSeries};
 
 use std::error::Error;
 use std::fmt;

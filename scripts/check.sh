@@ -32,4 +32,11 @@ cargo run --release -p polm2-bench --bin perfgate -- \
   --recorder-out /tmp/BENCH_recorder_check.json --gc-out /tmp/BENCH_gc_check.json \
   --heap-out /tmp/BENCH_heap_check.json
 
+echo "== CLI smokes (crash recovery, fleet chaos, heap chaos)"
+# CI runs each in its own job against a release CLI build.
+cargo build --release --locked --bin polm2
+scripts/crash_recovery_smoke.sh
+scripts/fleet_chaos_smoke.sh
+scripts/heap_chaos_smoke.sh
+
 echo "all checks passed"
